@@ -1,7 +1,5 @@
 #include "core/bridge.hpp"
 
-#include <cstdio>
-
 #include "instrument/metrics.hpp"
 #include "instrument/tracer.hpp"
 
@@ -64,16 +62,7 @@ void Bridge::Finalize() {
     analysis_.Finalize();
   }
   finalized_ = true;
-  // End-of-run telemetry digest: one line per traced rank (span totals,
-  // drops if the ring wrapped, counter totals), so trace truncation can
-  // never pass silently.
-  if (const instrument::Tracer* tracer = instrument::CurrentTracer()) {
-    std::fprintf(stderr, "%s\n", tracer->SummaryLine().c_str());
-    // Flush before the mpimini runtime tears the rank threads down: an
-    // unflushed stdio buffer can lose the digest of a rank whose thread
-    // exits last (observed with per-rank summaries interleaving at exit).
-    std::fflush(stderr);
-  }
+  instrument::PrintTracerSummary();
 }
 
 }  // namespace nek_sensei

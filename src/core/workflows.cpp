@@ -1,22 +1,25 @@
 #include "core/workflows.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
 
 #include "adios/sst.hpp"
 #include "core/bridge.hpp"
 #include "core/buffer.hpp"
+#include "core/heartbeat.hpp"
 #include "core/lock_ranks.hpp"
 #include "core/thread_annotations.hpp"
 #include "instrument/flight_recorder.hpp"
 #include "instrument/monitor.hpp"
 #include "instrument/provenance.hpp"
-#include "instrument/report.hpp"
-#include "instrument/straggler.hpp"
 #include "mpimini/clock_sync.hpp"
 #include "mpimini/metrics_reduce.hpp"
 #include "mpimini/runtime.hpp"
@@ -28,12 +31,6 @@
 namespace nek_sensei {
 
 namespace {
-
-// User-tag for the endpoint→monitor-host e2e latency feed: after each
-// analysed step the endpoint group's rank 0 ships the step's end-to-end
-// latency to world rank 0, whose heartbeat drains whatever has arrived
-// (buffered sends — never a collective, never a deadlock).
-constexpr int kTagE2eSample = 8003;
 
 // Run-start clock calibration (collective on `comm`, rank 0 is the
 // reference): installs the calibrated offset on this thread — GlobalNowNs
@@ -92,15 +89,36 @@ struct SharedMetrics {
   WorkflowMetrics metrics NSM_GUARDED_BY(mutex);
 };
 
+// What one rank hands to the run-level collection once its loop is done.
+struct RankOutcome {
+  double step_busy_seconds = 0.0;  ///< busy time inside the stepping loop
+  std::size_t bytes = 0;           ///< storage written by the rank's analyses
+  std::size_t images = 0;          ///< frames the rank's catalyst wrote
+  /// The async worker's high-water mark (0 in sync mode): the two threads
+  /// coexist, so the rank's reported footprint is the conservative sum of
+  /// both peaks.
+  std::size_t worker_host_peak_bytes = 0;
+  /// Straggler verdicts (meaningful on sim-group rank 0 only).
+  std::vector<instrument::AnomalyRecord> anomalies;
+};
+
 // Gather per-rank reports and analysis byte counts onto world rank 0.
-void CollectReports(mpimini::Comm& world, const RankReport& mine,
-                    std::size_t my_bytes, std::size_t my_images,
-                    SharedMetrics& shared) {
+void CollectReports(mpimini::Comm& world, bool is_sim,
+                    const RankOutcome& outcome, SharedMetrics& shared) {
+  RankReport mine;
+  mine.world_rank = world.Rank();
+  mine.is_sim = is_sim;
+  mine.step_busy_seconds = outcome.step_busy_seconds;
+  if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
+    mine.total_busy_seconds = env->busy.Seconds();
+    mine.host_peak_bytes =
+        env->memory.HostPeakBytes() + outcome.worker_host_peak_bytes;
+    mine.device_peak_bytes =
+        env->memory.PeakBytes(instrument::kDeviceCategory);
+  }
   std::vector<RankReport> reports =
       world.Gather<RankReport>(std::span<const RankReport>(&mine, 1), 0);
-  std::size_t bytes = my_bytes;
-  std::size_t images = my_images;
-  std::array<std::size_t, 2> io{bytes, images};
+  std::array<std::size_t, 2> io{outcome.bytes, outcome.images};
   world.Reduce(std::span<std::size_t>(io), mpimini::Op::kSum, 0);
   if (world.Rank() == 0) {
     core::MutexLock lock(shared.mutex);
@@ -108,26 +126,6 @@ void CollectReports(mpimini::Comm& world, const RankReport& mine,
     shared.metrics.bytes_written = io[0];
     shared.metrics.images_written = io[1];
   }
-}
-
-// `worker_host_peak_bytes` is the async worker's high-water mark (0 in sync
-// mode): the two threads coexist, so the rank's reported footprint is the
-// conservative sum of both peaks.
-RankReport MakeReport(mpimini::Comm& world, bool is_sim,
-                      double step_busy_seconds,
-                      std::size_t worker_host_peak_bytes = 0) {
-  RankReport report;
-  report.world_rank = world.Rank();
-  report.is_sim = is_sim;
-  report.step_busy_seconds = step_busy_seconds;
-  if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
-    report.total_busy_seconds = env->busy.Seconds();
-    report.host_peak_bytes =
-        env->memory.HostPeakBytes() + worker_host_peak_bytes;
-    report.device_peak_bytes =
-        env->memory.PeakBytes(instrument::kDeviceCategory);
-  }
-  return report;
 }
 
 bool XmlHasAdios(const std::string& xml) {
@@ -151,264 +149,25 @@ instrument::TelemetryConfig ResolveTelemetry(
   return sensei::ParseTelemetryConfig(xmlcfg::Parse(sensei_xml).root);
 }
 
-mpimini::RunSettings MakeRunSettings(
-    const instrument::TelemetryConfig& config) {
-  mpimini::RunSettings settings;
-  settings.trace = config.enabled;
-  settings.tracer = config.TracerOptions();
-  settings.metrics = config.MetricsEnabled();
-  return settings;
-}
-
-// Rank-0 progress line plus the run-health collective.  When enabled, every
-// Tick at the interval runs the same fixed collective sequence (two small
-// Reduces, one health-sample Gather, and — monitor runs only — one metrics
-// reduction), so every rank of the stepping communicator must Tick at the
-// same step; a zero interval makes Tick a no-op and the run collective-free,
-// as before.  The interval is config-derived (identical on every rank by
-// construction), never data-dependent.
-//
-// Rank 0 additionally feeds the gathered health samples into the straggler
-// detector — new verdicts go to the flight recorder, the printed line's
-// `note` column, and (via Anomalies()) metrics.json — and publishes a
-// MonitorStatus snapshot to the /metrics endpoint when one is serving.
-class Heartbeat {
- public:
-  /// `monitor` is rank 0's MonitorServer or nullptr; non-rank-0 callers
-  /// always pass nullptr.  Printing follows config.heartbeat_steps; with
-  /// the heartbeat off but the monitor on, ticks run every step (the
-  /// endpoint wants fresh data) without printing anything.
-  /// `e2e_source` is the communicator the endpoint group ships its
-  /// kTagE2eSample latency samples on (in transit: the world comm), or
-  /// nullptr when e2e arrives in this rank's own registry (in situ).
-  Heartbeat(mpimini::Comm& comm, const instrument::TelemetryConfig& config,
-            int total_steps, instrument::MonitorServer* monitor,
-            mpimini::Comm* e2e_source = nullptr)
-      : comm_(comm),
-        e2e_source_(e2e_source),
-        print_interval_(config.heartbeat_steps),
-        interval_(config.heartbeat_steps > 0
-                      ? config.heartbeat_steps
-                      : (config.MonitorEnabled() ? 1 : 0)),
-        monitor_on_(config.MonitorEnabled()),
-        monitor_(monitor),
-        total_(total_steps),
-        start_ns_(instrument::Tracer::NowNs()) {
-    // Baselines for the per-interval deltas that make up a health sample.
-    if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
-      last_busy_ = env->busy.Seconds();
-    }
-    if (const instrument::MetricsRegistry* m = instrument::CurrentMetrics()) {
-      last_solver_ = m->Counter("solver.step_seconds");
-      last_insitu_ = m->Counter("bridge.update_seconds");
-      last_transport_ = m->Counter("sst.stall_seconds") +
-                        m->Counter("pipeline.queue_wait_seconds");
-    }
-  }
-
-  /// `queue_depth`/`queue_limit` describe the SST staging queue (pass
-  /// -1/-1 when the workflow has no transport, e.g. in situ).
-  /// `offload_seconds` is this rank's cumulative async-worker update
-  /// seconds, or negative in sync mode (must agree in sign across ranks —
-  /// the reductions are collective).  `raw_bytes`/`wire_bytes` are this
-  /// rank's cumulative transport codec-plane totals (0 when there is no
-  /// transport; equal when every variable ships identity).
-  void Tick(int step_index, int queue_depth, int queue_limit,
-            double offload_seconds = -1.0, std::size_t raw_bytes = 0,
-            std::size_t wire_bytes = 0) {
-    if (interval_ <= 0) return;
-    const int done = step_index + 1;
-    if (done % interval_ != 0 && done != total_) return;
-
-    mpimini::RankEnv* env = mpimini::CurrentEnv();
-    const double mem =
-        env ? static_cast<double>(env->memory.HostPeakBytes()) : 0.0;
-    double insitu_seconds = 0.0;
-    if (const instrument::MetricsRegistry* m = instrument::CurrentMetrics()) {
-      insitu_seconds = m->Counter("bridge.update_seconds");
-    }
-    const bool async = offload_seconds >= 0.0;
-    std::array<double, 5> sums{mem, insitu_seconds,
-                               async ? offload_seconds : 0.0,
-                               static_cast<double>(raw_bytes),
-                               static_cast<double>(wire_bytes)};
-    std::array<double, 2> maxs{mem, static_cast<double>(queue_depth)};
-    comm_.Reduce(std::span<double>(sums), mpimini::Op::kSum, 0);
-    comm_.Reduce(std::span<double>(maxs), mpimini::Op::kMax, 0);
-
-    // Health-sample gather: always part of the tick collective, so the
-    // straggler detector works even with the metrics plane off (the busy
-    // clock is unconditional; only the span attribution needs counters).
-    const instrument::RankHealthSample health = SampleHealth();
-    const std::vector<instrument::RankHealthSample> samples =
-        comm_.Gather<instrument::RankHealthSample>(
-            std::span<const instrument::RankHealthSample>(&health, 1), 0);
-
-    // Monitor runs reduce the full registry each tick so /metrics serves
-    // live cross-rank sums, not stale startup values.  MonitorEnabled()
-    // implies the metrics plane is installed (TelemetryConfig contract).
-    instrument::MetricsReport report;
-    if (monitor_on_) {
-      instrument::MetricsSnapshot snap;
-      if (const instrument::MetricsRegistry* m =
-              instrument::CurrentMetrics()) {
-        snap = m->Snapshot();
-      }
-      report = mpimini::ReduceMetrics(comm_, snap, 0);
-    }
-    if (comm_.Rank() != 0) return;
-
-    // End-to-end latency column: drain whatever the endpoint shipped since
-    // the last tick (latest sample wins), or — with no cross-group feed —
-    // read this rank's own step→image histogram (sync in situ: the image
-    // writes land right here on rank 0).
-    if (e2e_source_ != nullptr) {
-      while (e2e_source_->HasMessage(mpimini::kAnySource, kTagE2eSample)) {
-        last_e2e_seconds_ =
-            e2e_source_->RecvValue<double>(mpimini::kAnySource, kTagE2eSample);
-      }
-    } else if (const instrument::MetricsRegistry* m =
-                   instrument::CurrentMetrics()) {
-      const auto it = m->Histograms().find("e2e.step_to_image_seconds");
-      if (it != m->Histograms().end() && it->second.count > 0) {
-        last_e2e_seconds_ = it->second.Mean();
-      }
-    }
-
-    std::string note;
-    for (const instrument::AnomalyRecord& a : straggler_.Update(samples,
-                                                                done)) {
-      char verdict[64];
-      std::snprintf(verdict, sizeof(verdict), "straggler rank %d (%s)",
-                    a.rank, a.dominant_span.c_str());
-      instrument::RecordFlightEvent(instrument::FlightEventKind::kAnomaly,
-                                    verdict, done, a.z);
-      if (!note.empty()) note += ", ";
-      note += verdict;
-    }
-
-    const double elapsed =
-        static_cast<double>(instrument::Tracer::NowNs() - start_ns_) * 1e-9;
-    const double rate = elapsed > 0.0 ? done / elapsed : 0.0;
-    const double ranks = static_cast<double>(comm_.Size());
-
-    HeartbeatLine line;
-    line.done = done;
-    line.total = total_;
-    line.rate_steps_per_second = rate;
-    line.eta_seconds =
-        rate > 0.0 ? static_cast<double>(total_ - done) / rate : -1.0;
-    line.mem_mean_bytes = static_cast<std::size_t>(sums[0] / ranks);
-    line.mem_max_bytes = static_cast<std::size_t>(maxs[0]);
-    if (elapsed > 0.0 && instrument::CurrentMetrics() != nullptr) {
-      line.insitu_percent = 100.0 * sums[1] / ranks / elapsed;
-    }
-    if (elapsed > 0.0 && async) {
-      line.offload_percent = 100.0 * sums[2] / ranks / elapsed;
-    }
-    line.queue_depth = static_cast<int>(maxs[1]);
-    line.queue_limit = queue_limit;
-    line.raw_bytes = static_cast<std::size_t>(sums[3]);
-    line.wire_bytes = static_cast<std::size_t>(sums[4]);
-    line.e2e_seconds = last_e2e_seconds_;
-    line.note = note;
-    if (print_interval_ > 0 &&
-        (done % print_interval_ == 0 || done == total_)) {
-      std::fprintf(stderr, "%s\n", FormatHeartbeatLine(line).c_str());
-      std::fflush(stderr);
-    }
-
-    if (monitor_ != nullptr && monitor_->Serving()) {
-      instrument::MonitorStatus status;
-      status.step = done;
-      status.total_steps = total_;
-      status.rate_steps_per_second = rate;
-      status.eta_seconds = line.eta_seconds;
-      double lo = 0.0;
-      double hi = 0.0;
-      double sum = 0.0;
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        const double s = samples[i].step_seconds;
-        lo = i == 0 ? s : std::min(lo, s);
-        hi = std::max(hi, s);
-        sum += s;
-      }
-      status.step_seconds_min = lo;
-      status.step_seconds_max = hi;
-      status.step_seconds_mean =
-          samples.empty() ? 0.0 : sum / static_cast<double>(samples.size());
-      status.queue_depth = line.queue_depth;
-      status.queue_limit = queue_limit;
-      status.insitu_percent = line.insitu_percent;
-      status.offload_percent = line.offload_percent;
-      status.e2e_seconds = line.e2e_seconds;
-      status.anomalies = straggler_.Anomalies();
-      report.anomalies = status.anomalies;
-      status.metrics = std::move(report);
-      monitor_->Publish(std::move(status));
-    }
-  }
-
-  /// Straggler verdicts accumulated so far (meaningful on rank 0 only) —
-  /// the source of metrics.json's `anomalies` array.
-  [[nodiscard]] const std::vector<instrument::AnomalyRecord>& Anomalies()
-      const {
-    return straggler_.Anomalies();
-  }
-
- private:
-  // One interval's busy-time delta plus the per-span counter deltas that
-  // could explain it.  The busy clock excludes comm waits by design, so a
-  // straggler's *victims* (ranks idling at the collective) do not get
-  // inflated samples — only the rank actually doing extra work does.
-  instrument::RankHealthSample SampleHealth() {
-    instrument::RankHealthSample sample;
-    sample.rank = comm_.Rank();
-    double busy = 0.0;
-    if (mpimini::RankEnv* env = mpimini::CurrentEnv()) {
-      busy = env->busy.Seconds();
-    }
-    sample.step_seconds = busy - last_busy_;
-    last_busy_ = busy;
-    if (const instrument::MetricsRegistry* m = instrument::CurrentMetrics()) {
-      const double solver = m->Counter("solver.step_seconds");
-      const double insitu = m->Counter("bridge.update_seconds");
-      const double transport = m->Counter("sst.stall_seconds") +
-                               m->Counter("pipeline.queue_wait_seconds");
-      sample.solver_seconds = solver - last_solver_;
-      sample.insitu_seconds = insitu - last_insitu_;
-      sample.transport_seconds = transport - last_transport_;
-      last_solver_ = solver;
-      last_insitu_ = insitu;
-      last_transport_ = transport;
-    }
-    return sample;
-  }
-
-  mpimini::Comm& comm_;
-  mpimini::Comm* e2e_source_;
-  int print_interval_;
-  int interval_;
-  bool monitor_on_;
-  instrument::MonitorServer* monitor_;
-  int total_;
-  std::int64_t start_ns_;
-  double last_busy_ = 0.0;
-  double last_e2e_seconds_ = -1.0;  ///< rank 0 only: latest e2e estimate
-  double last_solver_ = 0.0;
-  double last_insitu_ = 0.0;
-  double last_transport_ = 0.0;
-  instrument::StragglerMonitor straggler_;
-};
-
 // Fault-injection hook for the flight-recorder acceptance path: the named
 // step throws an uncaught (by the workflow) exception on every rank, so the
 // crash-dump machinery can be exercised end to end from a normal binary.
-// In-situ only — in-transit endpoint ranks block in their receive loop and
+// In situ only — in transit endpoint ranks block in their receive loop and
 // would never observe a sim-side throw (the join would hang).
 int FailStepFromEnv() {
   const char* value = std::getenv("NEK_SENSEI_FAIL_STEP");
   return value != nullptr ? std::atoi(value) : -1;
+}
+
+// A run-level gauge derived from the reduced report: one value, so every
+// statistic of it is that value and the imbalance is 1.
+instrument::MetricStat DerivedGauge(int ranks, double value) {
+  instrument::MetricStat stat;
+  stat.ranks = ranks;
+  stat.min = stat.mean = stat.max = stat.p95 = stat.sum = value;
+  stat.low_watermark = stat.high_watermark = value;
+  stat.imbalance = 1.0;
+  return stat;
 }
 
 // Reduce every rank's metric snapshot onto world rank 0 and stash the
@@ -434,13 +193,8 @@ void CollectRunHealth(mpimini::Comm& world,
     const double raw = report.CounterSum("sst.bytes_raw");
     const double wire = report.CounterSum("sst.bytes_wire");
     if (raw > 0.0 && wire > 0.0) {
-      const double ratio = raw / wire;
-      instrument::MetricStat stat;
-      stat.ranks = report.ranks;
-      stat.min = stat.mean = stat.max = stat.p95 = stat.sum = ratio;
-      stat.low_watermark = stat.high_watermark = ratio;
-      stat.imbalance = 1.0;
-      report.gauges["sst.compression_ratio"] = stat;
+      report.gauges["sst.compression_ratio"] =
+          DerivedGauge(report.ranks, raw / wire);
     }
     // Derived e2e attribution: what share of the step→image latency was
     // already spent when the step *arrived* at the endpoint (solver stage /
@@ -457,16 +211,10 @@ void CollectRunHealth(mpimini::Comm& world,
       const double share =
           std::clamp(recv_it->second.Mean() / image_it->second.Mean(), 0.0,
                      1.0);
-      instrument::MetricStat stat;
-      stat.ranks = report.ranks;
-      stat.min = stat.mean = stat.max = stat.p95 = stat.sum = share;
-      stat.low_watermark = stat.high_watermark = share;
-      stat.imbalance = 1.0;
-      report.gauges["e2e.transport_share"] = stat;
-      instrument::MetricStat tail = stat;
-      tail.min = tail.mean = tail.max = tail.p95 = tail.sum = 1.0 - share;
-      tail.low_watermark = tail.high_watermark = 1.0 - share;
-      report.gauges["e2e.analysis_share"] = tail;
+      report.gauges["e2e.transport_share"] =
+          DerivedGauge(report.ranks, share);
+      report.gauges["e2e.analysis_share"] =
+          DerivedGauge(report.ranks, 1.0 - share);
     }
     report.anomalies = anomalies;
     if (monitor != nullptr) {
@@ -476,17 +224,6 @@ void CollectRunHealth(mpimini::Comm& world,
     }
     core::MutexLock lock(shared.mutex);
     shared.metrics.metrics_report = std::move(report);
-  }
-}
-
-// Print the per-rank tracer digest on ranks that do not run a Bridge
-// (in-transit endpoints); Bridge::Finalize does this for sim ranks.  The
-// flush matters: these threads exit right after, and unflushed stdio from
-// a finishing rank thread is lost on some libc builds.
-void PrintEndpointSummary() {
-  if (const instrument::Tracer* tracer = instrument::CurrentTracer()) {
-    std::fprintf(stderr, "%s\n", tracer->SummaryLine().c_str());
-    std::fflush(stderr);
   }
 }
 
@@ -617,73 +354,291 @@ void ExportRunHealth(const instrument::TelemetryConfig& config,
   }
 }
 
-}  // namespace
-
-std::string FormatHeartbeatLine(const HeartbeatLine& line) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "[heartbeat] step %d/%d (%d%%) | %.2f steps/s",
-                line.done, line.total,
-                line.total > 0 ? 100 * line.done / line.total : 0,
-                line.rate_steps_per_second);
-  std::string out = buf;
-  // A zero observed rate (clock glitch, first tick landing in the same
-  // timer quantum) has no defined ETA: print `n/a`, never inf/nan or a
-  // garbage division result.
-  if (line.eta_seconds >= 0.0 && std::isfinite(line.eta_seconds)) {
-    std::snprintf(buf, sizeof(buf), " | eta %.1fs", line.eta_seconds);
-    out += buf;
-  } else {
-    out += " | eta n/a";
-  }
-  out += " | mem mean " + instrument::FormatBytes(line.mem_mean_bytes) +
-         " max " + instrument::FormatBytes(line.mem_max_bytes);
-  if (line.insitu_percent >= 0.0) {
-    // Clamp the display: busy-clock vs wall-clock skew can nudge the raw
-    // ratio past 100, and a ">100% in situ" line reads as nonsense.  Work
-    // running off the critical path is the offload column, never an
-    // inflated insitu%.
-    std::snprintf(buf, sizeof(buf), " | insitu %.0f%%",
-                  std::min(line.insitu_percent, 100.0));
-    out += buf;
-  }
-  if (line.offload_percent >= 0.0) {
-    std::snprintf(buf, sizeof(buf), " | offload %.0f%%",
-                  std::min(line.offload_percent, 100.0));
-    out += buf;
-  }
-  if (line.queue_limit > 0) {
-    std::snprintf(buf, sizeof(buf), " | sst queue %d/%d", line.queue_depth,
-                  line.queue_limit);
-    out += buf;
-  }
-  if (line.e2e_seconds >= 0.0) {
-    std::snprintf(buf, sizeof(buf), " | e2e %.1fms", line.e2e_seconds * 1e3);
-    out += buf;
-  }
-  // Wire column only when a codec actually shrank (or grew) the stream:
-  // identity-only runs keep the pre-codec line byte for byte.
-  if (line.raw_bytes > 0 && line.wire_bytes > 0 &&
-      line.raw_bytes != line.wire_bytes) {
-    std::snprintf(buf, sizeof(buf), " | wire %s (%.1fx)",
-                  instrument::FormatBytes(line.wire_bytes).c_str(),
-                  static_cast<double>(line.raw_bytes) /
-                      static_cast<double>(line.wire_bytes));
-    out += buf;
-  }
-  if (!line.note.empty()) out += " | " + line.note;
-  return out;
+// Seconds on the calling rank's busy clock (0 outside a rank).
+double BusySeconds() {
+  mpimini::RankEnv* env = mpimini::CurrentEnv();
+  return env ? env->busy.Seconds() : 0.0;
 }
 
-double WorkflowMetrics::MeanSimStepSeconds() const {
-  double sum = 0.0;
-  int count = 0;
-  for (const RankReport& r : ranks) {
-    if (!r.is_sim) continue;
-    sum += r.step_busy_seconds;
-    ++count;
+// World ranks [0, sim_ranks) step the simulation; the endpoint_ranks
+// after them receive its SST stream.  In situ has no endpoint ranks.
+struct RankLayout {
+  int sim_ranks = 1;
+  int endpoint_ranks = 0;
+  int sim_per_endpoint = 1;
+  int sst_queue_limit = 1;
+  bool streaming = false;  ///< the sim XML enables an adios sender
+  std::string endpoint_xml;
+
+  [[nodiscard]] int EndpointOf(int sim_rank) const {
+    return sim_ranks + sim_rank / sim_per_endpoint;
   }
-  return count && steps ? sum / count / steps : 0.0;
+};
+
+// One simulation rank: the only step loop of both workflows.  In transit
+// it steps on the sim group and registers the "adios" sender; the SST
+// feeds below follow whatever the rank's XML instantiated.
+RankOutcome RunSimRank(mpimini::Comm& world, mpimini::Comm& group,
+                       const InSituOptions& options, const RankLayout& layout,
+                       const instrument::TelemetryConfig& telemetry,
+                       std::uint64_t run_id,
+                       instrument::MonitorServer* monitor) {
+  occamini::Device device(options.backend, options.transfer);
+  nekrs::FlowSolver solver(group, device, options.flow);
+  std::function<void(sensei::ConfigurableAnalysis&)> customize;
+  if (layout.endpoint_ranks > 0) {
+    customize = [&](sensei::ConfigurableAnalysis& analysis) {
+      analysis.RegisterFactory(
+          "adios", [&](const xmlcfg::Element& e, mpimini::Comm&) {
+            sensei::AdiosOptions adios_options;
+            adios_options.arrays = sensei::SplitList(e.Attr("arrays"));
+            adios_options.sst.queue_limit = layout.sst_queue_limit;
+            adios_options.codecs = sensei::ParseTransportCodecs(e);
+            return std::make_shared<sensei::AdiosAnalysisAdaptor>(
+                world, layout.EndpointOf(world.Rank()), adios_options);
+          });
+    };
+  }
+  std::optional<Bridge> bridge;
+  if (options.use_sensei) {
+    bridge.emplace(solver, options.sensei_xml, customize);
+  }
+  const sensei::ConfigurableAnalysis* analysis =
+      bridge ? &bridge->Analysis() : nullptr;
+  std::shared_ptr<sensei::CatalystAnalysisAdaptor> catalyst;
+  std::shared_ptr<sensei::AdiosAnalysisAdaptor> adios;
+  if (analysis != nullptr) {
+    catalyst = std::dynamic_pointer_cast<sensei::CatalystAnalysisAdaptor>(
+        analysis->Find("catalyst"));
+    adios = std::dynamic_pointer_cast<sensei::AdiosAnalysisAdaptor>(
+        analysis->Find("adios"));
+  }
+  // Async mode: the analyses (the SST sender included) run concurrently on
+  // the worker thread, so their counters must not be read at step
+  // boundaries — sample with the device feed only, and take one full
+  // sample after Finalize (SetTotal and counter sampling are cumulative,
+  // so the final totals come out mode-independent).  The queue and wire
+  // readings stay safe (atomic mirrors / immutable).
+  const bool step_feeds = !(bridge && bridge->Async());
+  auto sample_counters = [&](bool full) {
+    SampleStepCounters(&device, full ? analysis : nullptr,
+                       full ? catalyst.get() : nullptr,
+                       full && adios ? &adios->TransportStats() : nullptr);
+  };
+
+  const double busy0 = BusySeconds();
+  // Heartbeat runs on the stepping communicator: endpoint ranks cannot
+  // join step-boundary collectives, so they ship e2e samples over world.
+  Heartbeat heartbeat(group, telemetry, options.steps, monitor,
+                      adios ? &world : nullptr);
+  const int fail_step = layout.endpoint_ranks == 0 ? FailStepFromEnv() : -1;
+  sample_counters(step_feeds);
+  for (int s = 0; s < options.steps; ++s) {
+    // Step boundary first: a crash dump's tail names the step that was
+    // *in flight*, not the last one that completed.
+    instrument::RecordFlightEvent(instrument::FlightEventKind::kStep,
+                                  "solver.step", s);
+    if (s == fail_step) {
+      throw std::runtime_error("injected failure at step " +
+                               std::to_string(s) + " (solver.step)");
+    }
+    solver.Step();
+    if (group.Rank() == options.straggler_rank &&
+        options.straggler_seconds > 0.0) {
+      // Controlled straggler: busy-spin (not sleep — the busy clock must
+      // see it) and book the time as solver work so the detector's span
+      // attribution has a known right answer.
+      const std::int64_t spin0 = instrument::Tracer::NowNs();
+      double spun = 0.0;
+      while (spun < options.straggler_seconds) {
+        spun = static_cast<double>(instrument::Tracer::NowNs() - spin0) * 1e-9;
+      }
+      if (auto* metrics = instrument::CurrentMetrics()) {
+        metrics->Add("solver.step_seconds", spun);
+      }
+    }
+    {
+      // Stamp the just-completed step's causal origin; the SENSEI update
+      // (sync: inline; async: captured at Submit) runs under it so every
+      // downstream write — in transit, across the SST wire in the v3 step
+      // context — can attribute back to this step.
+      instrument::StepProvenance provenance;
+      if (run_id != 0) {
+        provenance = instrument::MakeStepProvenance(run_id, world.Rank(), s);
+      }
+      instrument::ProvenanceScope provenance_scope(
+          provenance.Valid() ? &provenance : nullptr);
+      if (bridge) bridge->Update();
+    }
+    sample_counters(step_feeds);
+    heartbeat.Tick(s, adios ? adios->QueueDepth() : -1,
+                   adios ? adios->QueueLimit() : -1,
+                   bridge ? bridge->OffloadedSeconds() : -1.0,
+                   adios ? adios->RawBytes() : 0,
+                   adios ? adios->WireBytes() : 0);
+  }
+  RankOutcome outcome;
+  // Stop before teardown: Finalize (stream flushes, file closes) must not
+  // count toward the per-step figures.
+  outcome.step_busy_seconds = BusySeconds() - busy0;
+  if (bridge) {
+    bridge->Finalize();
+    outcome.bytes = bridge->Analysis().TotalBytesWritten();
+    outcome.worker_host_peak_bytes = bridge->WorkerHostPeakBytes();
+  }
+  // Post-Finalize the worker (if any) is joined and its attribution is
+  // folded into this rank: the full-feed sample closes the totals.
+  sample_counters(true);
+  if (catalyst) outcome.images = catalyst->ImagesWritten();
+  outcome.anomalies = heartbeat.Anomalies();
+  return outcome;
+}
+
+// One endpoint rank of an in transit run: receive each delivered SST step
+// and run the endpoint analyses on it.  Idle when the simulation side
+// streams nothing.
+RankOutcome RunEndpointRank(mpimini::Comm& world, mpimini::Comm& group,
+                            const RankLayout& layout,
+                            const instrument::TelemetryConfig& telemetry) {
+  RankOutcome outcome;
+  if (!layout.streaming) return outcome;
+  std::vector<int> writers;
+  for (int w = 0; w < layout.sim_ranks; ++w) {
+    if (layout.EndpointOf(w) == world.Rank()) writers.push_back(w);
+  }
+  adios::SstReader reader(world, writers,
+                          {.queue_limit = layout.sst_queue_limit});
+  sensei::InTransitDataAdaptor data(group);
+  sensei::ConfigurableAnalysis analysis(group);
+  analysis.Initialize(xmlcfg::Parse(layout.endpoint_xml).root);
+
+  const double busy0 = BusySeconds();
+  SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
+  const bool feed_e2e = group.Rank() == 0 && world.Rank() != 0 &&
+                        (telemetry.heartbeat_steps > 0 ||
+                         telemetry.MonitorEnabled());
+  while (auto step = reader.NextStep()) {
+    // Re-install the step's wire-carried origin around the analyses:
+    // endpoint-side writes (images, checkpoints) measure their e2e
+    // latency against it.  One rank per metric observes — group rank 0
+    // here, the compositing root inside the adaptors — so histogram
+    // counts stay partition-independent (one sample per step).
+    const instrument::StepProvenance origin =
+        StepOrigin(step->payloads, step->step);
+    instrument::ProvenanceScope provenance_scope(
+        origin.Valid() ? &origin : nullptr);
+    auto since_origin = [&origin] {
+      return std::max(0.0, static_cast<double>(instrument::GlobalNowNs() -
+                                               origin.GlobalTimestampNs()) *
+                               1e-9);
+    };
+    if (origin.Valid() && group.Rank() == 0) {
+      if (auto* metrics = instrument::CurrentMetrics()) {
+        metrics->Observe("e2e.step_to_recv_seconds", since_origin());
+      }
+    }
+    data.SetStep(step->step, 0.0, step->payloads);
+    analysis.Execute(data);
+    if (feed_e2e && origin.Valid()) {
+      // Ship this step's end-to-end latency (origin → analyses done,
+      // which includes the image write) to the monitor host.  Buffered
+      // send: the heartbeat drains at its own cadence.
+      world.SendValue<double>(0, kTagE2eSample, since_origin());
+    }
+    SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
+  }
+  outcome.step_busy_seconds = BusySeconds() - busy0;
+  analysis.Finalize();
+  instrument::PrintTracerSummary();
+  outcome.bytes = analysis.TotalBytesWritten();
+  if (auto catalyst =
+          std::dynamic_pointer_cast<sensei::CatalystAnalysisAdaptor>(
+              analysis.Find("catalyst"))) {
+    outcome.images = catalyst->ImagesWritten();
+  }
+  return outcome;
+}
+
+// The one workflow driver: run-level setup, collection and export for
+// both workflows.
+WorkflowMetrics RunWorkflow(const InSituOptions& sim,
+                            const RankLayout& layout) {
+  SharedMetrics shared;
+  {
+    core::MutexLock lock(shared.mutex);
+    shared.metrics.steps = sim.steps;
+  }
+  const instrument::TelemetryConfig telemetry =
+      ResolveTelemetry(sim.telemetry, sim.sensei_xml);
+  // Causal plane (clock sync, step provenance, e2e latency) rides with the
+  // observability opt-ins: without them, runs keep the pre-provenance wire
+  // bytes and collective sequence exactly.
+  const bool causal = telemetry.enabled || telemetry.MetricsEnabled();
+  const std::uint64_t run_id = causal ? instrument::MakeRunId() : 0;
+  mpimini::RunSettings settings;
+  settings.trace = telemetry.enabled;
+  settings.tracer = telemetry.TracerOptions();
+  settings.metrics = telemetry.MetricsEnabled();
+
+  mpimini::RunResult run = mpimini::Runtime::Run(
+      layout.sim_ranks + layout.endpoint_ranks, settings,
+      [&](mpimini::Comm& world) {
+    const bool is_sim = world.Rank() < layout.sim_ranks;
+    // Live run-health endpoint: world rank 0 only (also sim-group rank 0,
+    // the heartbeat's root), opt-in, loopback.  Created before the step
+    // loop so /healthz answers from the first step, and destroyed (-> Stop
+    // -> persisted status) at rank-body scope end, after the closing
+    // metrics reduction has refreshed it.
+    std::unique_ptr<instrument::MonitorServer> monitor;
+    if (world.Rank() == 0 && telemetry.MonitorEnabled()) {
+      instrument::MonitorServer::Options monitor_options;
+      monitor_options.port = telemetry.monitor_port;
+      monitor_options.persist_path = telemetry.status_path;
+      monitor_options.port_file = telemetry.monitor_port_file;
+      monitor = std::make_unique<instrument::MonitorServer>(monitor_options);
+    }
+    // In transit splits sim and endpoint groups (one trace lane each);
+    // in situ steps on the world communicator itself.
+    mpimini::Comm group = world;
+    if (layout.endpoint_ranks > 0) {
+      group = world.Split(is_sim ? 0 : 1, world.Rank());
+      if (instrument::Tracer* tracer = instrument::CurrentTracer()) {
+        tracer->SetGroup(is_sim ? 0 : 1, is_sim ? "sim" : "endpoint");
+      }
+    }
+    // Clock calibration brackets the run on the world communicator: the
+    // start sync feeds provenance and the aligned trace export, the
+    // closing re-sync measures drift.  Collective — gated identically on
+    // every rank.
+    std::optional<mpimini::ClockSync> clock;
+    if (causal) clock = CalibrateRankClock(world);
+
+    const RankOutcome outcome =
+        is_sim ? RunSimRank(world, group, sim, layout, telemetry, run_id,
+                            monitor.get())
+               : RunEndpointRank(world, group, layout, telemetry);
+
+    if (clock) RecalibrateRankClock(world, *clock);
+    CollectReports(world, is_sim, outcome, shared);
+    CollectRunHealth(world, telemetry, outcome.anomalies, monitor.get(),
+                     shared);
+  });
+
+  // Rank threads are joined, but the analysis (rightly) still wants the
+  // lock for these accesses.
+  core::MutexLock lock(shared.mutex);
+  shared.metrics.wall_seconds = run.wall_seconds;
+  ExportTelemetry(telemetry, run, shared.metrics);
+  ExportRunHealth(telemetry, shared.metrics);
+  return shared.metrics;
+}
+
+}  // namespace
+
+double WorkflowMetrics::MeanSimStepSeconds() const {
+  const auto count = std::count_if(ranks.begin(), ranks.end(),
+                                   [](const RankReport& r) { return r.is_sim; });
+  return count && steps ? TotalSimBusySeconds() / count / steps : 0.0;
 }
 
 double WorkflowMetrics::TotalSimBusySeconds() const {
@@ -719,351 +674,28 @@ std::size_t WorkflowMetrics::MaxSimDevicePeakBytes() const {
 }
 
 WorkflowMetrics RunInSitu(int nranks, const InSituOptions& options) {
-  SharedMetrics shared;
-  {
-    core::MutexLock lock(shared.mutex);
-    shared.metrics.steps = options.steps;
-  }
-  const instrument::TelemetryConfig telemetry =
-      ResolveTelemetry(options.telemetry, options.sensei_xml);
-  // Causal plane (clock sync, step provenance, e2e latency) rides with the
-  // observability opt-ins: without them, runs keep the pre-provenance wire
-  // bytes and collective sequence exactly.
-  const bool causal = telemetry.enabled || telemetry.MetricsEnabled();
-  const std::uint64_t run_id = causal ? instrument::MakeRunId() : 0;
-
-  mpimini::RunResult run = mpimini::Runtime::Run(
-      nranks, MakeRunSettings(telemetry), [&](mpimini::Comm& comm) {
-    // Live run-health endpoint: rank 0 only, opt-in, loopback.  Created
-    // before the step loop so /healthz answers from the first step, and
-    // destroyed (-> Stop -> persisted status) at rank-body scope end,
-    // after the closing metrics reduction has refreshed it.
-    std::unique_ptr<instrument::MonitorServer> monitor;
-    if (comm.Rank() == 0 && telemetry.MonitorEnabled()) {
-      instrument::MonitorServer::Options monitor_options;
-      monitor_options.port = telemetry.monitor_port;
-      monitor_options.persist_path = telemetry.status_path;
-      monitor_options.port_file = telemetry.monitor_port_file;
-      monitor = std::make_unique<instrument::MonitorServer>(monitor_options);
-    }
-    // Clock calibration brackets the run: the start sync feeds provenance
-    // timestamps and the aligned trace export, the closing re-sync (below)
-    // measures drift.  Collective — gated identically on every rank.
-    std::optional<mpimini::ClockSync> clock;
-    if (causal) clock = CalibrateRankClock(comm);
-    occamini::Device device(options.backend, options.transfer);
-    nekrs::FlowSolver solver(comm, device, options.flow);
-    std::optional<Bridge> bridge;
-    if (options.use_sensei) bridge.emplace(solver, options.sensei_xml);
-    std::shared_ptr<sensei::CatalystAnalysisAdaptor> catalyst;
-    if (bridge) {
-      catalyst =
-          std::dynamic_pointer_cast<sensei::CatalystAnalysisAdaptor>(
-              bridge->Analysis().Find("catalyst"));
-    }
-    const sensei::ConfigurableAnalysis* analysis =
-        bridge ? &bridge->Analysis() : nullptr;
-
-    // Async mode: the analyses run concurrently on the worker thread, so
-    // their counters must not be read at step boundaries — sample with the
-    // device feed only, and take one full sample after Finalize (SetTotal
-    // and counter sampling are cumulative, so the final totals come out
-    // mode-independent).
-    const bool async = bridge && bridge->Async();
-    const sensei::ConfigurableAnalysis* loop_analysis =
-        async ? nullptr : analysis;
-    const sensei::CatalystAnalysisAdaptor* loop_catalyst =
-        async ? nullptr : catalyst.get();
-
-    mpimini::RankEnv* env = mpimini::CurrentEnv();
-    const double busy0 = env ? env->busy.Seconds() : 0.0;
-    std::optional<instrument::ScopedTimer> loop_timer;
-    if (env) loop_timer.emplace(env->timings, "step_loop");
-    Heartbeat heartbeat(comm, telemetry, options.steps, monitor.get());
-    const int fail_step = FailStepFromEnv();
-    SampleStepCounters(&device, loop_analysis, loop_catalyst, nullptr);
-    for (int s = 0; s < options.steps; ++s) {
-      // Step boundary first: a crash dump's tail names the step that was
-      // *in flight*, not the last one that completed.
-      instrument::RecordFlightEvent(instrument::FlightEventKind::kStep,
-                                    "solver.step", s);
-      if (s == fail_step) {
-        throw std::runtime_error("injected failure at step " +
-                                 std::to_string(s) + " (solver.step)");
-      }
-      solver.Step();
-      if (comm.Rank() == options.straggler_rank &&
-          options.straggler_seconds > 0.0) {
-        // Controlled straggler: busy-spin (not sleep — the busy clock must
-        // see it) and book the time as solver work so the detector's span
-        // attribution has a known right answer.
-        const std::int64_t spin0 = instrument::Tracer::NowNs();
-        while (static_cast<double>(instrument::Tracer::NowNs() - spin0) *
-                   1e-9 <
-               options.straggler_seconds) {
-        }
-        if (auto* metrics = instrument::CurrentMetrics()) {
-          metrics->Add("solver.step_seconds",
-                       static_cast<double>(instrument::Tracer::NowNs() -
-                                           spin0) *
-                           1e-9);
-        }
-      }
-      {
-        // Stamp the just-completed step's causal origin; the SENSEI update
-        // (sync: inline; async: captured at Submit) runs under it so every
-        // downstream write can attribute back to this step.
-        instrument::StepProvenance provenance;
-        if (run_id != 0) {
-          provenance = instrument::MakeStepProvenance(run_id, comm.Rank(), s);
-        }
-        instrument::ProvenanceScope provenance_scope(
-            provenance.Valid() ? &provenance : nullptr);
-        if (bridge) bridge->Update();
-      }
-      SampleStepCounters(&device, loop_analysis, loop_catalyst, nullptr);
-      heartbeat.Tick(s, /*queue_depth=*/-1, /*queue_limit=*/-1,
-                     bridge ? bridge->OffloadedSeconds() : -1.0);
-    }
-    // Stop before teardown: Finalize (stream flushes, file closes) must not
-    // count toward the per-step figures.
-    const double step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-    if (loop_timer) loop_timer->Stop();
-    if (bridge) bridge->Finalize();
-    // Post-Finalize the worker (if any) is joined and its attribution is
-    // folded into this rank: the full-feed sample closes the totals.
-    SampleStepCounters(&device, analysis, catalyst.get(), nullptr);
-
-    std::size_t bytes = 0;
-    std::size_t images = 0;
-    if (bridge) {
-      bytes = bridge->Analysis().TotalBytesWritten();
-      if (catalyst) images = catalyst->ImagesWritten();
-    }
-    if (clock) RecalibrateRankClock(comm, *clock);
-    CollectReports(comm,
-                   MakeReport(comm, /*is_sim=*/true, step_busy,
-                              bridge ? bridge->WorkerHostPeakBytes() : 0),
-                   bytes, images, shared);
-    CollectRunHealth(comm, telemetry, heartbeat.Anomalies(), monitor.get(),
-                     shared);
-  });
-
-  // Rank threads are joined, but the analysis (rightly) still wants the
-  // lock for these accesses.
-  core::MutexLock lock(shared.mutex);
-  shared.metrics.wall_seconds = run.wall_seconds;
-  ExportTelemetry(telemetry, run, shared.metrics);
-  ExportRunHealth(telemetry, shared.metrics);
-  return shared.metrics;
+  RankLayout layout;
+  layout.sim_ranks = nranks;
+  return RunWorkflow(options, layout);
 }
 
 WorkflowMetrics RunInTransit(int sim_ranks, const InTransitOptions& options) {
   const int ratio = std::max(1, options.sim_per_endpoint);
-  const int endpoint_ranks = (sim_ranks + ratio - 1) / ratio;
-  const int world_ranks = sim_ranks + endpoint_ranks;
-  const bool streaming = XmlHasAdios(options.sim_xml);
-
-  SharedMetrics shared;
-  {
-    core::MutexLock lock(shared.mutex);
-    shared.metrics.steps = options.steps;
-  }
-  const instrument::TelemetryConfig telemetry =
-      ResolveTelemetry(options.telemetry, options.sim_xml);
-  // See RunInSitu: the causal plane follows the observability opt-ins.
-  const bool causal = telemetry.enabled || telemetry.MetricsEnabled();
-  const std::uint64_t run_id = causal ? instrument::MakeRunId() : 0;
-
-  mpimini::RunResult run = mpimini::Runtime::Run(
-      world_ranks, MakeRunSettings(telemetry), [&](mpimini::Comm& world) {
-    const bool is_sim = world.Rank() < sim_ranks;
-    // World rank 0 is sim-group rank 0 (the Split keys on world rank), so
-    // the monitor host is also the rank the sim-group heartbeat reduces
-    // onto — one rank owns both planes.
-    std::unique_ptr<instrument::MonitorServer> monitor;
-    if (world.Rank() == 0 && telemetry.MonitorEnabled()) {
-      instrument::MonitorServer::Options monitor_options;
-      monitor_options.port = telemetry.monitor_port;
-      monitor_options.persist_path = telemetry.status_path;
-      monitor_options.port_file = telemetry.monitor_port_file;
-      monitor = std::make_unique<instrument::MonitorServer>(monitor_options);
-    }
-    mpimini::Comm group = world.Split(is_sim ? 0 : 1, world.Rank());
-    mpimini::RankEnv* env = mpimini::CurrentEnv();
-    // Label this rank's trace lane with its comm group so the export
-    // renders two process rows (sim / endpoint) on one timeline.
-    if (instrument::Tracer* tracer = instrument::CurrentTracer()) {
-      tracer->SetGroup(is_sim ? 0 : 1, is_sim ? "sim" : "endpoint");
-    }
-    // World-wide clock calibration against world rank 0 — both groups
-    // export onto (and the provenance timestamps live on) one timeline.
-    std::optional<mpimini::ClockSync> clock;
-    if (causal) clock = CalibrateRankClock(world);
-
-    std::size_t bytes = 0;
-    std::size_t images = 0;
-    std::size_t worker_peak = 0;
-    double step_busy = 0.0;
-    // Hoisted out of the sim block: the closing CollectRunHealth runs on
-    // the world communicator, after the heartbeat (sim-group scope) died.
-    std::vector<instrument::AnomalyRecord> anomalies;
-
-    if (is_sim) {
-      occamini::Device device(options.backend, options.transfer);
-      nekrs::FlowSolver solver(group, device, options.flow);
-      const int endpoint_world_rank = sim_ranks + world.Rank() / ratio;
-
-      Bridge bridge(solver, options.sim_xml,
-                    [&](sensei::ConfigurableAnalysis& analysis) {
-                      analysis.RegisterFactory(
-                          "adios",
-                          [&](const xmlcfg::Element& e, mpimini::Comm&) {
-                            sensei::AdiosOptions adios_options;
-                            adios_options.arrays =
-                                sensei::SplitList(e.Attr("arrays"));
-                            adios_options.sst.queue_limit =
-                                options.sst_queue_limit;
-                            adios_options.codecs =
-                                sensei::ParseTransportCodecs(e);
-                            return std::make_shared<
-                                sensei::AdiosAnalysisAdaptor>(
-                                world, endpoint_world_rank, adios_options);
-                          });
-                    });
-
-      auto adios =
-          std::dynamic_pointer_cast<sensei::AdiosAnalysisAdaptor>(
-              bridge.Analysis().Find("adios"));
-
-      // Async mode: the SST sender runs on the worker thread; its stats and
-      // the analysis byte counts are worker-owned until Finalize joins it.
-      // QueueDepth/QueueLimit stay readable (atomic mirror / immutable).
-      const bool async = bridge.Async();
-      const sensei::ConfigurableAnalysis* loop_analysis =
-          async ? nullptr : &bridge.Analysis();
-      const adios::SstStats* loop_sst =
-          (!async && adios) ? &adios->TransportStats() : nullptr;
-
-      const double busy0 = env ? env->busy.Seconds() : 0.0;
-      std::optional<instrument::ScopedTimer> loop_timer;
-      if (env) loop_timer.emplace(env->timings, "step_loop");
-      // Heartbeat runs on the sim group: endpoint ranks sit in their
-      // receive loop and cannot join step-boundary collectives.
-      Heartbeat heartbeat(group, telemetry, options.steps, monitor.get(),
-                          streaming ? &world : nullptr);
-      SampleStepCounters(&device, loop_analysis, nullptr, loop_sst);
-      for (int s = 0; s < options.steps; ++s) {
-        instrument::RecordFlightEvent(instrument::FlightEventKind::kStep,
-                                      "solver.step", s);
-        solver.Step();
-        {
-          // Causal origin of this step: crosses the SST wire in the v3
-          // step context, links sst.send to sst.recv in the trace, and
-          // anchors the endpoint's e2e latency measurement.
-          instrument::StepProvenance provenance;
-          if (run_id != 0) {
-            provenance =
-                instrument::MakeStepProvenance(run_id, world.Rank(), s);
-          }
-          instrument::ProvenanceScope provenance_scope(
-              provenance.Valid() ? &provenance : nullptr);
-          bridge.Update();
-        }
-        SampleStepCounters(&device, loop_analysis, nullptr, loop_sst);
-        heartbeat.Tick(s, adios ? adios->QueueDepth() : -1,
-                       adios ? adios->QueueLimit() : -1,
-                       bridge.OffloadedSeconds(),
-                       adios ? adios->RawBytes() : 0,
-                       adios ? adios->WireBytes() : 0);
-      }
-      step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-      if (loop_timer) loop_timer->Stop();
-      bridge.Finalize();
-      // Post-Finalize full-feed sample (see RunInSitu).
-      SampleStepCounters(&device, &bridge.Analysis(), nullptr,
-                         adios ? &adios->TransportStats() : nullptr);
-      bytes = bridge.Analysis().TotalBytesWritten();
-      worker_peak = bridge.WorkerHostPeakBytes();
-      anomalies = heartbeat.Anomalies();
-    } else if (streaming) {
-      // Endpoint rank: receive steps and run the endpoint analyses.
-      std::vector<int> writers;
-      for (int w = 0; w < sim_ranks; ++w) {
-        if (sim_ranks + w / ratio == world.Rank()) writers.push_back(w);
-      }
-      adios::SstReader reader(world, writers,
-                              {.queue_limit = options.sst_queue_limit});
-      sensei::InTransitDataAdaptor data(group);
-      sensei::ConfigurableAnalysis analysis(group);
-      analysis.Initialize(xmlcfg::Parse(options.endpoint_xml).root);
-
-      const double busy0 = env ? env->busy.Seconds() : 0.0;
-      std::optional<instrument::ScopedTimer> loop_timer;
-      if (env) loop_timer.emplace(env->timings, "step_loop");
-      SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
-      const bool feed_e2e = group.Rank() == 0 && world.Rank() != 0 &&
-                            (telemetry.heartbeat_steps > 0 ||
-                             telemetry.MonitorEnabled());
-      while (auto step = reader.NextStep()) {
-        // Re-install the step's wire-carried origin around the analyses:
-        // endpoint-side writes (images, checkpoints) measure their e2e
-        // latency against it.  One rank per metric observes — group rank 0
-        // here, the compositing root inside the adaptors — so histogram
-        // counts stay partition-independent (one sample per step).
-        const instrument::StepProvenance origin =
-            StepOrigin(step->payloads, step->step);
-        instrument::ProvenanceScope provenance_scope(
-            origin.Valid() ? &origin : nullptr);
-        if (origin.Valid() && group.Rank() == 0) {
-          if (auto* metrics = instrument::CurrentMetrics()) {
-            metrics->Observe(
-                "e2e.step_to_recv_seconds",
-                std::max(0.0, static_cast<double>(
-                                  instrument::GlobalNowNs() -
-                                  origin.GlobalTimestampNs()) *
-                                  1e-9));
-          }
-        }
-        data.SetStep(step->step, 0.0, step->payloads);
-        analysis.Execute(data);
-        if (feed_e2e && origin.Valid()) {
-          // Ship this step's end-to-end latency (origin → analyses done,
-          // which includes the image write) to the monitor host.  Buffered
-          // send: the heartbeat drains at its own cadence.
-          world.SendValue<double>(
-              0, kTagE2eSample,
-              std::max(0.0, static_cast<double>(instrument::GlobalNowNs() -
-                                                origin.GlobalTimestampNs()) *
-                                1e-9));
-        }
-        SampleStepCounters(nullptr, &analysis, nullptr, &reader.Stats());
-      }
-      step_busy = (env ? env->busy.Seconds() : 0.0) - busy0;
-      if (loop_timer) loop_timer->Stop();
-      analysis.Finalize();
-      PrintEndpointSummary();
-      bytes = analysis.TotalBytesWritten();
-      if (auto catalyst =
-              std::dynamic_pointer_cast<sensei::CatalystAnalysisAdaptor>(
-                  analysis.Find("catalyst"))) {
-        images = catalyst->ImagesWritten();
-      }
-    }
-
-    if (clock) RecalibrateRankClock(world, *clock);
-    CollectReports(world, MakeReport(world, is_sim, step_busy, worker_peak),
-                   bytes, images, shared);
-    CollectRunHealth(world, telemetry, anomalies, monitor.get(), shared);
-  });
-
-  // Rank threads are joined, but the analysis (rightly) still wants the
-  // lock for these accesses.
-  core::MutexLock lock(shared.mutex);
-  shared.metrics.wall_seconds = run.wall_seconds;
-  ExportTelemetry(telemetry, run, shared.metrics);
-  ExportRunHealth(telemetry, shared.metrics);
-  return shared.metrics;
+  // The simulation side of an in transit run is an in situ run whose XML
+  // may name the adios sender.
+  InSituOptions sim;
+  sim.flow = options.flow;
+  sim.steps = options.steps;
+  sim.sensei_xml = options.sim_xml;
+  sim.backend = options.backend;
+  sim.transfer = options.transfer;
+  sim.telemetry = options.telemetry;
+  return RunWorkflow(sim, {.sim_ranks = sim_ranks,
+                           .endpoint_ranks = (sim_ranks + ratio - 1) / ratio,
+                           .sim_per_endpoint = ratio,
+                           .sst_queue_limit = options.sst_queue_limit,
+                           .streaming = XmlHasAdios(options.sim_xml),
+                           .endpoint_xml = options.endpoint_xml});
 }
 
 }  // namespace nek_sensei

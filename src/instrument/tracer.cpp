@@ -26,6 +26,16 @@ Tracer* SetCurrentTracer(Tracer* tracer) {
   return previous;
 }
 
+void PrintTracerSummary() {
+  if (const Tracer* tracer = CurrentTracer()) {
+    std::fprintf(stderr, "%s\n", tracer->SummaryLine().c_str());
+    // Flush before the mpimini runtime tears the rank threads down: an
+    // unflushed stdio buffer can lose the digest of a rank whose thread
+    // exits last (observed with per-rank summaries interleaving at exit).
+    std::fflush(stderr);
+  }
+}
+
 Tracer::Tracer(int rank, Options options)
     : rank_(rank),
       options_(options),

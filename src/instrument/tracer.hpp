@@ -7,7 +7,7 @@
 // steady_clock reads plus a ring-slot write when it closes.  Storage is
 // preallocated at construction; when the ring wraps, the oldest spans are
 // overwritten and a drop counter records the truncation so reports can say
-// so (Bridge::Finalize prints SummaryLine() exactly for this reason).
+// so (every rank prints SummaryLine() at the end of a run for this reason).
 //
 // Timestamps are absolute steady_clock nanoseconds, shared by all rank
 // threads of a process, so per-rank recordings merge onto one timeline in
@@ -213,6 +213,11 @@ Tracer* CurrentTracer();
 
 /// Install `tracer` for the calling thread; returns the previous one.
 Tracer* SetCurrentTracer(Tracer* tracer);
+
+/// End-of-run digest: print the calling thread's SummaryLine() to stderr
+/// (flushed), so ring truncation can never pass silently.  No-op when
+/// tracing is off.
+void PrintTracerSummary();
 
 /// RAII installation of a tracer for the current scope (runtime / tests).
 class TracerScope {

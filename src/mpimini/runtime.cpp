@@ -178,7 +178,6 @@ RunResult Runtime::Run(int nranks, const RunSettings& settings,
     for (const auto& [name, bytes] : env.memory.ByCategory()) {
       m.peak_by_category[name] = env.memory.PeakBytes(name);
     }
-    m.timings = env.timings;
     result.ranks.push_back(std::move(m));
     if (env.tracer) {
       result.tracers.push_back(envs[static_cast<std::size_t>(r)]->tracer);

@@ -1,6 +1,7 @@
 // The mpimini runtime: spawns N rank threads, installs per-rank
-// instrumentation (busy clock, memory tracker, timing registry), runs the
-// user's rank body, and collects per-rank metrics afterwards.
+// instrumentation (busy clock, memory tracker, tracer, metrics registry,
+// flight recorder), runs the user's rank body, and collects per-rank
+// metrics afterwards.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,6 @@ struct RankEnv {
   int rank = -1;
   instrument::BusyClock busy;
   instrument::MemoryTracker memory;
-  instrument::TimingRegistry timings;
   /// Span/counter recorder, allocated only when the run opted into tracing
   /// (RunSettings::trace); rank code reaches it via instrument::CurrentTracer.
   /// shared_ptr so RunResult can keep the recordings alive after the envs
@@ -83,7 +83,6 @@ struct RankMetrics {
   double busy_seconds = 0.0;
   std::size_t peak_bytes = 0;
   std::map<std::string, std::size_t> peak_by_category;
-  instrument::TimingRegistry timings;
 };
 
 /// Result of Runtime::Run: wall time of the whole run plus per-rank metrics.

@@ -211,18 +211,11 @@ void FlowSolver::Step() {
   // pressure projection each get a child span so telemetry can attribute
   // nearly all of a step's wall time to a named stage.
   instrument::Span step_span("solver.step");
-  // Per-substep second counters for the metrics plane: one NowNs pair per
-  // stage, taken only when a registry is installed (marks stay 0 otherwise).
+  // Whole-step seconds for the metrics plane (the heartbeat and the
+  // straggler detector read them), timed only when a registry is installed.
   instrument::MetricsRegistry* metrics = instrument::CurrentMetrics();
   const std::int64_t step_begin_ns =
       metrics != nullptr ? instrument::Tracer::NowNs() : 0;
-  std::int64_t stage_mark_ns = step_begin_ns;
-  auto stage_done = [&](const char* counter) {
-    if (metrics == nullptr) return;
-    const std::int64_t now = instrument::Tracer::NowNs();
-    metrics->Add(counter, static_cast<double>(now - stage_mark_ns) * 1e-9);
-    stage_mark_ns = now;
-  };
   const bool first = (step_ == 0) || first_order_next_;
   first_order_next_ = false;
   instrument::Span advection_span("solver.advection");
@@ -266,7 +259,6 @@ void FlowSolver::Step() {
   device_.Launch("gradp",
                  [&] { ops_.Gradient(Dev(pr_), Dev(gx_), Dev(gy_), Dev(gz_)); });
   advection_span.End();
-  stage_done("solver.advection_seconds");
   instrument::Span helmholtz_span("solver.helmholtz");
 
   struct Momentum {
@@ -328,7 +320,6 @@ void FlowSolver::Step() {
   }
 
   helmholtz_span.End();
-  stage_done("solver.helmholtz_seconds");
 
   // Pressure projection: A phi = -b0 B div(u*), then u -= grad(phi)/b0.
   {
@@ -379,7 +370,6 @@ void FlowSolver::Step() {
       }
     });
   }
-  stage_done("solver.pressure_seconds");
 
   if (config_.solve_temperature) {
     instrument::Span temperature_span("solver.temperature");
@@ -410,7 +400,6 @@ void FlowSolver::Step() {
     stats_.temperature_iterations = result.iterations;
     Copy(keep, prev);
   }
-  stage_done("solver.temperature_seconds");
 
   // NekRS-style stabilization: attenuate the top Legendre modes of every
   // prognostic field, then restore C0 continuity by averaging shared nodes.

@@ -83,12 +83,12 @@ struct FlowConfig {
   int pressure_projection_vectors = 8;
 
   /// Precondition the pressure Poisson solve with p-multigrid (NekRS's pMG
-  /// + coarse-grid correction). Cuts the CG iteration count ~2.5-3x, at the
-  /// price of the smoothing work per application; pays off when the fine
-  /// solve is iteration-bound (strong refinement), not at this repo's small
-  /// bench sizes where the per-cycle cost dominates (see EXPERIMENTS.md
-  /// A5). NekRS pairs pMG with a *direct* coarse solve, which is what
-  /// removes the residual domain-size dependence entirely.
+  /// + coarse-grid correction; DESIGN.md §3d).  With the default shape
+  /// below and its direct coarse solve it pays off even at bench sizes:
+  /// on the pebble bed, 1560 -> 88 pressure iterations and -59 %
+  /// `solver.pressure` time at 2 ranks (`bench/solver_smoke`,
+  /// EXPERIMENTS.md A5c).  Off by default so the figure benches keep their
+  /// byte-exact counters comparable across the baseline history.
   bool pressure_multigrid = false;
 
   /// pMG shape when pressure_multigrid is on.  The defaults are the nekRS

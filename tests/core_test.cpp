@@ -1,16 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/bridge.hpp"
+#include "core/heartbeat.hpp"
 #include "sensei/catalyst_adaptor.hpp"
 #include "sensei/checkpoint_adaptor.hpp"
 #include "core/nek_data_adaptor.hpp"
 #include "core/workflows.hpp"
+#include "instrument/flight_recorder.hpp"
 #include "mpimini/runtime.hpp"
 #include "nekrs/cases.hpp"
 
@@ -987,6 +994,185 @@ TEST(WorkflowHealthTest, BalancedRunSerializesEmptyAnomaliesArray) {
   // The key is always serialized — [] is the clean-run contract consumers
   // (and the CI smoke job) rely on.
   EXPECT_NE(json.find("\"anomalies\": []"), std::string::npos);
+}
+
+// ---- Fault hook and heartbeat feeds of the shared step loop -----------------
+
+// Sets an environment variable for one scope and restores the previous
+// value (or its absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    if (const char* previous = std::getenv(name)) previous_ = previous;
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (previous_) {
+      ::setenv(name_, previous_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> previous_;
+};
+
+// One flightrec_rank<N>.json dump: whether every line has the dump's JSON
+// shape, and its events as (kind, step) pairs in ring order.
+struct FlightDump {
+  bool well_formed = false;
+  std::vector<std::pair<std::string, int>> events;
+};
+
+FlightDump ReadFlightDump(const std::string& path) {
+  FlightDump dump;
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  if (lines.size() < 8 || lines[0] != "{" || lines[5] != "  \"events\": [" ||
+      lines[lines.size() - 2] != "  ]" || lines.back() != "}") {
+    return dump;
+  }
+  static const char* const kHeaderKeys[] = {"rank", "capacity",
+                                            "total_events", "dropped_events"};
+  for (std::size_t i = 1; i < 5; ++i) {
+    char key[32] = {};
+    long long value = 0;
+    int end = 0;
+    if (std::sscanf(lines[i].c_str(), "  \"%31[a-z_]\": %lld,%n", key, &value,
+                    &end) != 2 ||
+        static_cast<std::size_t>(end) != lines[i].size() ||
+        std::string(key) != kHeaderKeys[i - 1]) {
+      return dump;
+    }
+  }
+  for (std::size_t i = 6; i + 2 < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    char kind[32] = {};
+    long long ts_ns = 0;
+    int step = 0;
+    int detail = 0;
+    if (std::sscanf(line.c_str(),
+                    "    {\"kind\": \"%31[a-z_]\", \"ts_ns\": %lld, "
+                    "\"step\": %d, \"value\": %*[^,], \"detail\": \"%n",
+                    kind, &ts_ns, &step, &detail) != 3 ||
+        detail == 0) {
+      return dump;
+    }
+    // The detail string closes the object; every event but the last is
+    // followed by a comma.
+    const std::string tail = i + 3 < lines.size() ? "\"}," : "\"}";
+    if (line.size() < static_cast<std::size_t>(detail) + tail.size() ||
+        line.compare(line.size() - tail.size(), tail.size(), tail) != 0) {
+      return dump;
+    }
+    dump.events.emplace_back(kind, step);
+  }
+  dump.well_formed = true;
+  return dump;
+}
+
+TEST(WorkflowFaultTest, FailStepHookThrowsAndDumpsTheStepInFlight) {
+  // NEK_SENSEI_FAIL_STEP makes every rank throw as the named step begins.
+  // In situ only: no endpoint rank is left waiting, so the run must end
+  // (a hang here is caught by the ctest timeout).
+  const std::string dir = TempSubdir("wf_fail_step");
+  const std::string previous_dump_dir = instrument::FlightRecorderDumpDir();
+  nek_sensei::InSituOptions options;
+  options.flow = SmallCase();
+  options.steps = 4;
+  {
+    const ScopedEnv fail("NEK_SENSEI_FAIL_STEP", "2");
+    const ScopedEnv dump_dir("NSM_FLIGHTREC_DIR", dir);
+    try {
+      nek_sensei::RunInSitu(2, options);
+      ADD_FAILURE() << "the injected failure did not surface";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "injected failure at step 2 (solver.step)");
+    }
+  }
+  // The runtime applied NSM_FLIGHTREC_DIR process-wide; put it back.
+  instrument::SetFlightRecorderDumpDir(previous_dump_dir);
+
+  for (int rank = 0; rank < 2; ++rank) {
+    const FlightDump dump = ReadFlightDump(
+        dir + "/flightrec_rank" + std::to_string(rank) + ".json");
+    ASSERT_TRUE(dump.well_formed) << "rank " << rank;
+    int last_step = -1;
+    for (const auto& [kind, step] : dump.events) {
+      if (kind == "step") last_step = step;
+    }
+    EXPECT_EQ(last_step, 2) << "rank " << rank;
+  }
+}
+
+// The `[heartbeat]` lines of captured stderr.
+std::vector<std::string> HeartbeatLines(const std::string& captured) {
+  std::vector<std::string> lines;
+  std::istringstream in(captured);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("[heartbeat]", 0) == 0) lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(WorkflowHealthTest, HeartbeatColumnsFollowTheTransportTheRankHolds) {
+  // Both workflows share one step loop; the queue and wire columns are fed
+  // by the adios sender a rank holds, and an in situ rank holds none.
+  // Both runs pin the sync pipeline: async ships on the worker, so whether
+  // a given tick already sees wire bytes would be a race.
+  const std::string dir = TempSubdir("wf_heartbeat_lines");
+  nek_sensei::InSituOptions insitu;
+  insitu.flow = SmallCase();
+  insitu.steps = 4;
+  insitu.sensei_xml =
+      "<sensei><telemetry heartbeat=\"1\"/><pipeline mode=\"sync\"/>"
+      "<analysis type=\"checkpoint\" frequency=\"2\" output=\"" +
+      dir + "\"/></sensei>";
+  ::testing::internal::CaptureStderr();
+  nek_sensei::RunInSitu(2, insitu);
+  const std::vector<std::string> insitu_lines =
+      HeartbeatLines(::testing::internal::GetCapturedStderr());
+  ASSERT_EQ(insitu_lines.size(), 4u);
+  for (const std::string& line : insitu_lines) {
+    EXPECT_EQ(line.find("sst queue"), std::string::npos) << line;
+    EXPECT_EQ(line.find("| wire"), std::string::npos) << line;
+  }
+
+  nek_sensei::InTransitOptions intransit;
+  nekrs::cases::RayleighBenardOptions rbc;
+  rbc.elements = {2, 2, 2};
+  rbc.order = 3;
+  intransit.flow = nekrs::cases::RayleighBenardCase(rbc);
+  intransit.steps = 4;
+  intransit.sim_per_endpoint = 2;
+  intransit.sim_xml =
+      "<sensei><telemetry heartbeat=\"1\"/><pipeline mode=\"sync\"/>"
+      "<analysis type=\"adios\" frequency=\"2\">"
+      "<array name=\"*\"><codec type=\"blockfloat\" rate=\"8\"/></array>"
+      "</analysis></sensei>";
+  intransit.endpoint_xml = "<sensei/>";
+  ::testing::internal::CaptureStderr();
+  nek_sensei::RunInTransit(2, intransit);
+  const std::vector<std::string> intransit_lines =
+      HeartbeatLines(::testing::internal::GetCapturedStderr());
+  ASSERT_EQ(intransit_lines.size(), 4u);
+  for (std::size_t i = 0; i < intransit_lines.size(); ++i) {
+    const std::string& line = intransit_lines[i];
+    EXPECT_TRUE(line.find("sst queue 0/1") != std::string::npos ||
+                line.find("sst queue 1/1") != std::string::npos)
+        << line;
+    // Step 2 ships first; from then on the compressed stream shows as
+    // " | wire <bytes> (<ratio>x)".
+    const std::size_t wire = line.find(" | wire ");
+    const bool has_wire =
+        wire != std::string::npos && line.find("x)", wire) != std::string::npos;
+    EXPECT_EQ(has_wire, i >= 1) << line;
+  }
 }
 
 // ---- Derived fields ---------------------------------------------------------

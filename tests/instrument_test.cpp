@@ -15,7 +15,6 @@ using instrument::BusyClock;
 using instrument::MemoryTracker;
 using instrument::RunningStats;
 using instrument::Table;
-using instrument::TimingRegistry;
 using instrument::TrackedBuffer;
 using instrument::TrackerScope;
 using instrument::WallTimer;
@@ -83,17 +82,6 @@ TEST(BusyClockTest, ResetClearsAccumulation) {
   EXPECT_DOUBLE_EQ(clock.Seconds(), 0.0);
 }
 
-TEST(TimingRegistryTest, AccumulatesNamedBuckets) {
-  TimingRegistry registry;
-  registry.Accumulate("solve", 1.0);
-  registry.Accumulate("solve", 2.0);
-  registry.Accumulate("io", 0.5);
-  EXPECT_DOUBLE_EQ(registry.Total("solve"), 3.0);
-  EXPECT_DOUBLE_EQ(registry.Total("io"), 0.5);
-  EXPECT_DOUBLE_EQ(registry.Total("missing"), 0.0);
-  EXPECT_EQ(registry.Entries().at("solve").count, 2u);
-}
-
 TEST(RunningStatsTest, ComputesMomentsAndExtremes) {
   RunningStats stats;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.Add(x);
@@ -154,20 +142,6 @@ TEST(PercentileTest, NearestRankEdgeCases) {
   // Out-of-range q is clamped rather than indexing out of bounds.
   EXPECT_DOUBLE_EQ(instrument::Percentile(sorted, -0.5), 1.0);
   EXPECT_DOUBLE_EQ(instrument::Percentile(sorted, 1.5), 10.0);
-}
-
-TEST(ScopedTimerTest, StopExcludesLaterWork) {
-  TimingRegistry registry;
-  {
-    instrument::ScopedTimer timer(registry, "loop");
-    timer.Stop();
-    const double at_stop = registry.Total("loop");
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    timer.Stop();  // idempotent: destruction must not re-accumulate
-    EXPECT_DOUBLE_EQ(registry.Total("loop"), at_stop);
-  }
-  EXPECT_EQ(registry.Entries().at("loop").count, 1u);
-  EXPECT_LT(registry.Total("loop"), 0.010);
 }
 
 TEST(MemoryTrackerTest, TracksCurrentAndPeak) {
