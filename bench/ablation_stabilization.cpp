@@ -6,9 +6,11 @@
 //    an alternative/additional stabilization with its own per-step cost.
 //  * pressure projection — solution-projection initial guesses; pure
 //    performance (iteration counts), no physics change.
+//  * pressure p-multigrid — the pMG preconditioner against plain
+//    Jacobi-PCG; pure performance again.
 //
 // One table per knob: stability horizon and final diagnostics for the
-// filter/dealias matrix, pressure iteration totals for projection.
+// filter/dealias matrix, pressure iteration totals for projection and pMG.
 
 #include <cmath>
 #include <iostream>
@@ -27,18 +29,9 @@ struct RunOutcome {
   double step_seconds = 0.0;
 };
 
-struct MgChoice {
-  bool enabled = false;
-  nekrs::MultigridPreconditioner::Smoother smoother =
-      nekrs::MultigridPreconditioner::Smoother::kChebyshev;
-  nekrs::MultigridPreconditioner::Precision precision =
-      nekrs::MultigridPreconditioner::Precision::kFloat;
-  int levels = 0;  // 0 = full ladder
-};
-
 RunOutcome RunRbc(double filter_strength, bool dealias,
                   int projection_vectors, int steps,
-                  const MgChoice& mg = {}) {
+                  bool pressure_multigrid = true) {
   RunOutcome outcome;
   mpimini::Runtime::Run(1, [&](mpimini::Comm& comm) {
     occamini::Device device(occamini::Backend::kSimGpu);
@@ -51,10 +44,7 @@ RunOutcome RunRbc(double filter_strength, bool dealias,
     config.filter_strength = filter_strength;
     config.dealias = dealias;
     config.pressure_projection_vectors = projection_vectors;
-    config.pressure_multigrid = mg.enabled;
-    config.pressure_mg_smoother = mg.smoother;
-    config.pressure_mg_precision = mg.precision;
-    config.pressure_mg_levels = mg.levels;
+    config.pressure_multigrid = pressure_multigrid;
     nekrs::FlowSolver solver(comm, device, config);
 
     instrument::WallTimer timer;
@@ -118,31 +108,14 @@ int main() {
   }
   projection.Print(std::cout);
 
-  // The pressure pMG precision/smoother matrix (mixed-precision Chebyshev
-  // p-multigrid PR): iteration counts verify each configuration is an
-  // equivalent preconditioner; step time shows what the float cycle and
-  // the full ladder buy.
-  instrument::Table precision(
-      "Ablation A5c: pressure pMG precision/smoother (stable configuration, "
-      "150 steps)");
-  precision.SetHeader({"pmg", "pressure_iters", "step_ms"});
-  struct MgCase {
-    const char* name;
-    MgChoice mg;
-  };
-  using MG = nekrs::MultigridPreconditioner;
-  for (const MgCase c :
-       {MgCase{"off", {}},
-        MgCase{"jacobi-double-2lvl",
-               {true, MG::Smoother::kJacobi, MG::Precision::kDouble, 2}},
-        MgCase{"cheb-double-full",
-               {true, MG::Smoother::kChebyshev, MG::Precision::kDouble, 0}},
-        MgCase{"cheb-float-full",
-               {true, MG::Smoother::kChebyshev, MG::Precision::kFloat, 0}}}) {
-    const RunOutcome r = RunRbc(0.1, false, 8, 150, c.mg);
-    precision.AddRow({c.name, std::to_string(r.pressure_iterations),
+  instrument::Table multigrid(
+      "Ablation A5c: pressure p-multigrid (stable configuration, 150 steps)");
+  multigrid.SetHeader({"pmg", "pressure_iters", "step_ms"});
+  for (const bool on : {false, true}) {
+    const RunOutcome r = RunRbc(0.1, false, 8, 150, on);
+    multigrid.AddRow({on ? "on" : "off", std::to_string(r.pressure_iterations),
                       Fmt(r.step_seconds * 1e3)});
   }
-  precision.Print(std::cout);
+  multigrid.Print(std::cout);
   return 0;
 }

@@ -254,12 +254,6 @@ inline nekrs::FlowConfig PebbleBedBenchCase() {
   pb.order = 4;
   pb.pebble_count = 146;
   pb.dt = 1.5e-3;
-  // pMG stays off in the figure benches: the float V-cycle perturbs the
-  // pressure solution at rounding level, which would shift the
-  // byte-exact counters (compressed sizes, checkpoint bytes) the
-  // compare_runs gate pins.  bench/solver_smoke.cpp carries the pMG
-  // configuration and its own baseline; EXPERIMENTS.md A5 quantifies the
-  // trade-off.
   return nekrs::cases::PebbleBedCase(pb);
 }
 

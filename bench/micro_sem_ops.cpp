@@ -52,7 +52,7 @@ BENCHMARK(BM_Laplacian)->DenseRange(2, 8, 2);
 
 // The fused-vs-separate ablation behind the PR that collapsed the weak
 // Laplacian's six matrix sweeps into one kernel, and the dfloat/pfloat
-// comparison behind the multigrid smoother's float path.
+// comparison of the same kernel.
 
 template <typename T>
 struct FusedSetup {

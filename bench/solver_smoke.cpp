@@ -1,6 +1,6 @@
 // Solver-heavy smoke: pressure-solve wall time and CG iteration counts on
 // the pebble-bed stand-in, with and without the p-multigrid preconditioner
-// stack (Chebyshev pfloat V-cycle + direct coarse solve).
+// stack (Chebyshev V-cycle + direct coarse solve).
 //
 // fig2/fig5 route much of their time through I/O, staging, and rendering,
 // so a regression in the elliptic hot path — the fused Laplacian kernels,

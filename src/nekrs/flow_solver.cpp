@@ -101,18 +101,10 @@ FlowSolver::FlowSolver(mpimini::Comm comm, occamini::Device& device,
     pressure_projection_.emplace(n_, config_.pressure_projection_vectors);
   }
   if (config_.pressure_multigrid) {
-    MultigridPreconditioner::Options mg;
-    mg.remove_mean = true;  // the pressure problem is pure Neumann
-    mg.smoother = config_.pressure_mg_smoother;
-    mg.precision = config_.pressure_mg_precision;
-    mg.max_levels = config_.pressure_mg_levels;
-    mg.chebyshev_degree = config_.pressure_mg_chebyshev_degree;
-    // Direct (redundant dense) coarse solve, the nekRS pairing for pMG;
-    // auto-falls back to the coarse CG past the dense-size cap.
-    mg.coarse_mode = MultigridPreconditioner::CoarseMode::kDirect;
     pressure_multigrid_.emplace(comm_, config_.mesh, comm_.Rank(),
                                 comm_.Size(), ops_, gs_,
-                                std::array<bool, 6>{}, mg);
+                                std::array<bool, 6>{},
+                                MultigridPreconditioner::Options{});
   }
   dt_ = config_.dt;
   dt_prev_ = config_.dt;

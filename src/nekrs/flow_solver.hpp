@@ -83,25 +83,11 @@ struct FlowConfig {
   int pressure_projection_vectors = 8;
 
   /// Precondition the pressure Poisson solve with p-multigrid (NekRS's pMG
-  /// + coarse-grid correction; DESIGN.md §3d).  With the default shape
-  /// below and its direct coarse solve it pays off even at bench sizes:
-  /// on the pebble bed, 1560 -> 88 pressure iterations and -59 %
-  /// `solver.pressure` time at 2 ranks (`bench/solver_smoke`,
-  /// EXPERIMENTS.md A5c).  Off by default so the figure benches keep their
-  /// byte-exact counters comparable across the baseline history.
-  bool pressure_multigrid = false;
-
-  /// pMG shape when pressure_multigrid is on.  The defaults are the nekRS
-  /// production configuration: degree-2 Chebyshev smoothing, the full
-  /// N -> N/2 -> 1 order ladder, and a single-precision (pfloat) V-cycle
-  /// under the double outer CG.  Set smoother = kJacobi, precision =
-  /// kDouble, levels = 2 for the legacy bit-identical cycle.
-  MultigridPreconditioner::Smoother pressure_mg_smoother =
-      MultigridPreconditioner::Smoother::kChebyshev;
-  MultigridPreconditioner::Precision pressure_mg_precision =
-      MultigridPreconditioner::Precision::kFloat;
-  int pressure_mg_levels = 0;  ///< 0 = full ladder, 2 = legacy two-level
-  int pressure_mg_chebyshev_degree = 2;
+  /// + direct coarse-grid solve; DESIGN.md §3d).  On the pebble bed it cuts
+  /// 1560 -> 89 pressure iterations over the 16 `bench/solver_smoke` steps
+  /// (EXPERIMENTS.md A5c).  false = the plain Jacobi-PCG that the velocity
+  /// and scalar solves use.
+  bool pressure_multigrid = true;
 
   /// When > 0, adapt dt each step toward this advective CFL number
   /// (NekRS's targetCFL): dt changes by at most +-25 % per step and stays

@@ -1,6 +1,8 @@
 #include "nekrs/multigrid.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "instrument/metrics.hpp"
@@ -16,100 +18,41 @@ sem::BoxMeshSpec LevelSpec(sem::BoxMeshSpec spec, int order) {
   return spec;
 }
 
-// Precision-dispatch accessors: for double the operator data lives in the
-// level's ElementOperators / GatherScatter; for float it was down-converted
-// into LevelData<float> at construction.
-template <typename T, typename LevelT>
-std::span<const T> MaskOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    return {level.mask.data(), level.mask.size()};
-  } else {
-    return {level.flt.mask.data(), level.flt.mask.size()};
+// Largest eigenvalue of the symmetric tridiagonal matrix with diagonal `a`
+// and off-diagonal `b` (b[i] couples i and i + 1): bisection inside the
+// Gershgorin interval on the Sturm count, the number of negative pivots of
+// the LDL^T factorization of T - x I, which is the number of eigenvalues
+// below x.
+double LargestEigenvalue(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  const std::size_t k = a.size();
+  double lo = a[0];
+  double hi = a[0];
+  for (std::size_t i = 0; i < k; ++i) {
+    const double radius = (i > 0 ? std::abs(b[i - 1]) : 0.0) +
+                          (i + 1 < k ? std::abs(b[i]) : 0.0);
+    lo = std::min(lo, a[i] - radius);
+    hi = std::max(hi, a[i] + radius);
   }
-}
-
-template <typename T, typename LevelT>
-std::span<const T> MultOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    const std::vector<double>& m = level.gs->Multiplicity();
-    return {m.data(), m.size()};
-  } else {
-    return {level.flt.mult.data(), level.flt.mult.size()};
+  auto below = [&](double x) {
+    std::size_t negative = 0;
+    double pivot = 1.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      pivot = a[i] - x - (i > 0 ? b[i - 1] * b[i - 1] / pivot : 0.0);
+      if (pivot == 0.0) pivot = -std::numeric_limits<double>::min();
+      if (pivot < 0.0) ++negative;
+    }
+    return negative;
+  };
+  for (int it = 0; it < 200 && hi - lo > 1e-12 * std::abs(hi); ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (below(mid) < k) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
   }
-}
-
-template <typename T, typename LevelT>
-std::span<const T> DiagOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    return {level.diag.data(), level.diag.size()};
-  } else {
-    return {level.flt.diag.data(), level.flt.diag.size()};
-  }
-}
-
-template <typename T, typename LevelT>
-std::span<const T> DerivOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    const std::vector<double>& d = level.ops->Rule().deriv;
-    return {d.data(), d.size()};
-  } else {
-    return {level.flt.deriv.data(), level.flt.deriv.size()};
-  }
-}
-
-template <typename T, typename LevelT>
-std::span<const T> DerivTOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    const std::vector<double>& d = level.ops->Rule().deriv_t;
-    return {d.data(), d.size()};
-  } else {
-    return {level.flt.deriv_t.data(), level.flt.deriv_t.size()};
-  }
-}
-
-template <typename T, typename LevelT>
-sem::LaplacianGeo<T> GeoOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    return level.ops->Geo();
-  } else {
-    const auto& f = level.flt;
-    return {{f.g11.data(), f.g11.size()}, {f.g12.data(), f.g12.size()},
-            {f.g13.data(), f.g13.size()}, {f.g22.data(), f.g22.size()},
-            {f.g23.data(), f.g23.size()}, {f.g33.data(), f.g33.size()}};
-  }
-}
-
-template <typename T, typename LevelT>
-std::span<const T> LevelMassOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    return level.ops->MassDiag();
-  } else {
-    return {level.flt.mass.data(), level.flt.mass.size()};
-  }
-}
-
-template <typename T, typename LevelT>
-std::span<const T> RestrictOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    return {level.restrict_1d.data(), level.restrict_1d.size()};
-  } else {
-    return {level.flt.restrict_1d.data(), level.flt.restrict_1d.size()};
-  }
-}
-
-template <typename T, typename LevelT>
-std::span<const T> ProlongOf(const LevelT& level) {
-  if constexpr (std::is_same_v<T, double>) {
-    return {level.prolong_1d.data(), level.prolong_1d.size()};
-  } else {
-    return {level.flt.prolong_1d.data(), level.flt.prolong_1d.size()};
-  }
-}
-
-std::vector<float> ToFloat(std::span<const double> v) {
-  std::vector<float> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = static_cast<float>(v[i]);
-  return out;
+  return hi;
 }
 
 }  // namespace
@@ -120,19 +63,12 @@ MultigridPreconditioner::MultigridPreconditioner(
     const std::array<bool, 6>& dirichlet, Options options)
     : comm_(comm), options_(options), fine_ops_(fine_ops), fine_gs_(fine_gs) {
   // Order ladder: N, N/2, N/4, ..., plus the trilinear vertex level. An
-  // order-1 fine space degenerates to the legacy {1, 1} pair.
+  // order-1 fine space degenerates to the {1, 1} pair.
   std::vector<int> orders;
   orders.push_back(spec.order);
   for (int o = spec.order / 2; o > 1; o /= 2) orders.push_back(o);
   orders.push_back(1);
-  if (options_.max_levels >= 2 &&
-      orders.size() > static_cast<std::size_t>(options_.max_levels)) {
-    // Keep the finest (max_levels - 1) smoothing levels and the vertex
-    // level; max_levels = 2 is the legacy single coarse jump.
-    orders.erase(orders.begin() + (options_.max_levels - 1), orders.end() - 1);
-  }
 
-  const bool mixed = options_.precision == Precision::kFloat;
   levels_.reserve(orders.size());
   for (std::size_t l = 0; l < orders.size(); ++l) {
     Level level;
@@ -163,6 +99,16 @@ MultigridPreconditioner::MultigridPreconditioner(
       level.gs = level.gs_owned.get();
     }
     level.diag.resize(level.ndofs);
+    for (auto* v : {&level.r, &level.z, &level.res, &level.d, &level.tmp}) {
+      v->resize(level.ndofs);
+    }
+    level.lap_scratch.resize(6 * level.per_el);
+    if (l + 1 < orders.size()) {
+      const int np_next = orders[l + 1] + 1;
+      level.interp_scratch.resize(sem::Interp3DScratchSize(np_next, level.np));
+      level.local_in.resize(level.per_el);
+      level.local_out.resize(level.per_el);
+    }
     levels_.push_back(std::move(level));
   }
 
@@ -184,179 +130,109 @@ MultigridPreconditioner::MultigridPreconditioner(
     }
   }
 
-  // Cycle buffers (and, in mixed mode, the down-converted float operator
-  // data — built once so the hot path never converts).
-  for (std::size_t l = 0; l < levels_.size(); ++l) {
-    Level& level = levels_[l];
-    auto size_buffers = [&](auto& data) {
-      data.r.resize(level.ndofs);
-      data.z.resize(level.ndofs);
-      data.res.resize(level.ndofs);
-      data.d.resize(level.ndofs);
-      data.tmp.resize(level.ndofs);
-      data.lap_scratch.resize(6 * level.per_el);
-      if (l + 1 < levels_.size()) {
-        const Level& coarse = levels_[l + 1];
-        data.interp_scratch.resize(
-            sem::Interp3DScratchSize(coarse.np, level.np));
-        data.local_in.resize(level.per_el);
-        data.local_out.resize(level.per_el);
-      }
-    };
-    size_buffers(level.dbl);
-    if (mixed) {
-      size_buffers(level.flt);
-      level.flt.deriv = ToFloat(level.ops->Rule().deriv);
-      level.flt.deriv_t = ToFloat(level.ops->Rule().deriv_t);
-      const sem::LaplacianGeo<double> geo = level.ops->Geo();
-      level.flt.g11 = ToFloat(geo.g11);
-      level.flt.g12 = ToFloat(geo.g12);
-      level.flt.g13 = ToFloat(geo.g13);
-      level.flt.g22 = ToFloat(geo.g22);
-      level.flt.g23 = ToFloat(geo.g23);
-      level.flt.g33 = ToFloat(geo.g33);
-      level.flt.mass = ToFloat(level.ops->MassDiag());
-      level.flt.mask = ToFloat(level.mask);
-      level.flt.mult = ToFloat(level.gs->Multiplicity());
-      level.flt.restrict_1d = ToFloat(level.restrict_1d);
-      level.flt.prolong_1d = ToFloat(level.prolong_1d);
-      level.flt.diag.resize(level.ndofs);
-    }
+  double masked = 0.0;
+  for (double m : levels_.back().mask) {
+    if (m == 0.0) masked = 1.0;
   }
+  has_dirichlet_ = comm_.AllReduceValue(masked, mpimini::Op::kMax) > 0.0;
 
   coarse_solver_ = std::make_unique<HelmholtzSolver>(
       comm_, *levels_.back().ops, *levels_.back().gs);
-  coarse_rhs_.resize(levels_.back().ndofs);
-  coarse_sol_.resize(levels_.back().ndofs);
 }
 
-template <typename T>
 void MultigridPreconditioner::LevelOperator(Level& level, double h1, double h0,
-                                            std::span<const T> x,
-                                            std::span<T> w) {
-  sem::LaplacianFused<T>(DerivOf<T>(level), DerivTOf<T>(level), level.np,
-                         level.nel, GeoOf<T>(level), x, w,
-                         Data<T>(level).lap_scratch);
-  auto mass = LevelMassOf<T>(level);
-  const T a = static_cast<T>(h1);
-  const T b = static_cast<T>(h0);
+                                            std::span<const double> x,
+                                            std::span<double> w) {
+  const sem::GllRule& rule = level.ops->Rule();
+  sem::LaplacianFused<double>(rule.deriv, rule.deriv_t, level.np, level.nel,
+                              level.ops->Geo(), x, w, level.lap_scratch);
+  auto mass = level.ops->MassDiag();
   for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i] = a * w[i] + b * mass[i] * x[i];
+    w[i] = h1 * w[i] + h0 * mass[i] * x[i];
   }
   level.gs->Sum(w);
-  auto mask = MaskOf<T>(level);
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] *= mask[i];
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] *= level.mask[i];
 }
 
-template <typename T>
 void MultigridPreconditioner::Smooth(Level& level, double h1, double h0,
                                      bool first) {
-  auto& buf = Data<T>(level);
-  auto diag = DiagOf<T>(level);
-  auto mask = MaskOf<T>(level);
+  // Chebyshev acceleration of Jacobi (nekRS form): a degree-2 polynomial
+  // in D^-1 A tuned to damp [lambda_max/10, 1.1 lambda_max].
+  const std::vector<double>& diag = level.diag;
+  const std::vector<double>& mask = level.mask;
   const std::size_t n = level.ndofs;
-
-  if (options_.smoother == Smoother::kJacobi) {
-    const T omega = static_cast<T>(options_.jacobi_weight);
-    int sweep = 0;
-    if (first) {
-      // First sweep from z = 0 is just the damped diagonal scaling.
-      for (std::size_t i = 0; i < n; ++i) {
-        buf.z[i] = omega * buf.r[i] / diag[i] * mask[i];
-      }
-      sweep = 1;
-    }
-    for (; sweep < options_.smooth_sweeps; ++sweep) {
-      LevelOperator<T>(level, h1, h0, {buf.z.data(), n}, {buf.tmp.data(), n});
-      for (std::size_t i = 0; i < n; ++i) {
-        buf.z[i] += omega * (buf.r[i] - buf.tmp[i]) / diag[i] * mask[i];
-      }
-    }
-    return;
-  }
-
-  // Chebyshev acceleration of Jacobi (nekRS form): a degree-k polynomial
-  // in D^-1 A tuned to damp [lambda_max/10, 1.1 lambda_max].  The
-  // three-term coefficients are computed in double and applied in T.
-  const int degree = options_.chebyshev_degree < 1 ? 1
-                                                   : options_.chebyshev_degree;
   const double lam = level.lambda_max > 0.0 ? level.lambda_max : 1.0;
   const double lam_hi = 1.1 * lam;
   const double lam_lo = 0.1 * lam;
   const double theta = 0.5 * (lam_hi + lam_lo);
   const double delta = 0.5 * (lam_hi - lam_lo);
   const double sigma = theta / delta;
-  const T inv_theta = static_cast<T>(1.0 / theta);
+  const double inv_theta = 1.0 / theta;
 
   if (first) {
     for (std::size_t i = 0; i < n; ++i) {
-      buf.z[i] = 0;
-      buf.res[i] = buf.r[i];
+      level.z[i] = 0;
+      level.res[i] = level.r[i];
     }
   } else {
-    LevelOperator<T>(level, h1, h0, {buf.z.data(), n}, {buf.tmp.data(), n});
-    for (std::size_t i = 0; i < n; ++i) buf.res[i] = buf.r[i] - buf.tmp[i];
+    LevelOperator(level, h1, h0, level.z, level.tmp);
+    for (std::size_t i = 0; i < n; ++i) {
+      level.res[i] = level.r[i] - level.tmp[i];
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    buf.d[i] = buf.res[i] / diag[i] * mask[i] * inv_theta;
+    level.d[i] = level.res[i] / diag[i] * mask[i] * inv_theta;
   }
   double rho = 1.0 / sigma;
   for (int k = 1;; ++k) {
-    for (std::size_t i = 0; i < n; ++i) buf.z[i] += buf.d[i];
-    if (k == degree) break;
-    LevelOperator<T>(level, h1, h0, {buf.d.data(), n}, {buf.tmp.data(), n});
-    for (std::size_t i = 0; i < n; ++i) buf.res[i] -= buf.tmp[i];
+    for (std::size_t i = 0; i < n; ++i) level.z[i] += level.d[i];
+    if (k == kChebyshevDegree) break;
+    LevelOperator(level, h1, h0, level.d, level.tmp);
+    for (std::size_t i = 0; i < n; ++i) level.res[i] -= level.tmp[i];
     const double rho_next = 1.0 / (2.0 * sigma - rho);
-    const T c_d = static_cast<T>(rho_next * rho);
-    const T c_r = static_cast<T>(2.0 * rho_next / delta);
+    const double c_d = rho_next * rho;
+    const double c_r = 2.0 * rho_next / delta;
     for (std::size_t i = 0; i < n; ++i) {
-      buf.d[i] = c_d * buf.d[i] + c_r * (buf.res[i] / diag[i] * mask[i]);
+      level.d[i] = c_d * level.d[i] + c_r * (level.res[i] / diag[i] * mask[i]);
     }
     rho = rho_next;
   }
 }
 
-template <typename T>
 void MultigridPreconditioner::RestrictTo(Level& fine, Level& coarse) {
   // Adjoint of Prolong under the multiplicity-weighted inner product:
   // unassemble the dual vector, then apply P^T element-wise. The coarse
   // result is *unassembled* (consumers assemble or solve as needed).
-  auto& buf = Data<T>(fine);
-  auto& cbuf = Data<T>(coarse);
-  auto mult = MultOf<T>(fine);
-  auto rmat = RestrictOf<T>(fine);
+  const std::vector<double>& mult = fine.gs->Multiplicity();
   for (int e = 0; e < fine.nel; ++e) {
     const std::size_t fbase = static_cast<std::size_t>(e) * fine.per_el;
     for (std::size_t q = 0; q < fine.per_el; ++q) {
-      buf.local_in[q] = buf.res[fbase + q] / mult[fbase + q];
+      fine.local_in[q] = fine.res[fbase + q] / mult[fbase + q];
     }
-    sem::Interp3D<T>(rmat, coarse.np, fine.np,
-                     {buf.local_in.data(), fine.per_el},
-                     {buf.local_out.data(), coarse.per_el},
-                     buf.interp_scratch);
+    sem::Interp3D<double>(fine.restrict_1d, coarse.np, fine.np,
+                          {fine.local_in.data(), fine.per_el},
+                          {fine.local_out.data(), coarse.per_el},
+                          fine.interp_scratch);
     const std::size_t cbase = static_cast<std::size_t>(e) * coarse.per_el;
     for (std::size_t q = 0; q < coarse.per_el; ++q) {
-      cbuf.r[cbase + q] = buf.local_out[q];
+      coarse.r[cbase + q] = fine.local_out[q];
     }
   }
 }
 
-template <typename T>
 void MultigridPreconditioner::ProlongFrom(Level& coarse, Level& fine) {
-  auto& buf = Data<T>(fine);
-  auto& cbuf = Data<T>(coarse);
-  auto pmat = ProlongOf<T>(fine);
   for (int e = 0; e < fine.nel; ++e) {
     const std::size_t cbase = static_cast<std::size_t>(e) * coarse.per_el;
     for (std::size_t q = 0; q < coarse.per_el; ++q) {
-      buf.local_in[q] = cbuf.z[cbase + q];
+      fine.local_in[q] = coarse.z[cbase + q];
     }
-    sem::Interp3D<T>(pmat, fine.np, coarse.np,
-                     {buf.local_in.data(), coarse.per_el},
-                     {buf.local_out.data(), fine.per_el}, buf.interp_scratch);
+    sem::Interp3D<double>(fine.prolong_1d, fine.np, coarse.np,
+                          {fine.local_in.data(), coarse.per_el},
+                          {fine.local_out.data(), fine.per_el},
+                          fine.interp_scratch);
     const std::size_t fbase = static_cast<std::size_t>(e) * fine.per_el;
     for (std::size_t q = 0; q < fine.per_el; ++q) {
-      buf.d[fbase + q] = buf.local_out[q];
+      fine.d[fbase + q] = fine.local_out[q];
     }
   }
 }
@@ -383,7 +259,6 @@ void MultigridPreconditioner::BuildCoarseDirect(double h1, double h0) {
   const sem::LaplacianGeo<double> geo = coarse.ops->Geo();
   auto mass = coarse.ops->MassDiag();
   std::vector<double> ue(coarse.per_el), ke(coarse.per_el);
-  auto& scratch = coarse.dbl.lap_scratch;
   for (int e = 0; e < coarse.nel; ++e) {
     const std::size_t base = static_cast<std::size_t>(e) * coarse.per_el;
     const sem::LaplacianGeo<double> geo_e{
@@ -397,7 +272,7 @@ void MultigridPreconditioner::BuildCoarseDirect(double h1, double h0) {
       std::fill(ue.begin(), ue.end(), 0.0);
       ue[p] = 1.0;
       sem::LaplacianFused<double>(rule.deriv, rule.deriv_t, coarse.np, 1,
-                                  geo_e, ue, ke, scratch);
+                                  geo_e, ue, ke, coarse.lap_scratch);
       const std::size_t gp = static_cast<std::size_t>(coarse.gids[base + p]);
       for (std::size_t q = 0; q < coarse.per_el; ++q) {
         const std::size_t gq = static_cast<std::size_t>(coarse.gids[base + q]);
@@ -425,10 +300,8 @@ void MultigridPreconditioner::BuildCoarseDirect(double h1, double h0) {
   }
   comm_.AllReduce(std::span<double>(masked), mpimini::Op::kMax);
   comm_.AllReduce(std::span<double>(coarse_weight_), mpimini::Op::kSum);
-  bool any_dirichlet = false;
   for (std::size_t g = 0; g < nglobal; ++g) {
     if (masked[g] == 0.0) continue;
-    any_dirichlet = true;
     coarse_rowmask_[g] = 0.0;
     coarse_weight_[g] = 0.0;
     for (std::size_t q = 0; q < nglobal; ++q) {
@@ -441,7 +314,6 @@ void MultigridPreconditioner::BuildCoarseDirect(double h1, double h0) {
   // A pure-Neumann vertex Laplacian is singular on constants; shift it by
   // a mass-weighted rank-one term scaled to sit inside the spectrum, so
   // the factorization exists and the constant mode stays well-behaved.
-  coarse_singular_ = !any_dirichlet && h0 == 0.0;
   if (coarse_singular_) {
     double trace = 0.0;
     double wsum = 0.0;
@@ -492,7 +364,7 @@ void MultigridPreconditioner::CoarseSolveDirect() {
   // The restricted residual is an unassembled dual vector: summing every
   // element-local contribution into its global id assembles it.
   for (std::size_t i = 0; i < n; ++i) {
-    b[static_cast<std::size_t>(coarse.gids[i])] += coarse_rhs_[i];
+    b[static_cast<std::size_t>(coarse.gids[i])] += coarse.r[i];
   }
   comm_.AllReduce(std::span<double>(b), mpimini::Op::kSum);
   for (std::size_t g = 0; g < nglobal; ++g) b[g] *= coarse_rowmask_[g];
@@ -538,99 +410,101 @@ void MultigridPreconditioner::CoarseSolveDirect() {
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    coarse_sol_[i] = b[static_cast<std::size_t>(coarse.gids[i])];
+    coarse.z[i] = b[static_cast<std::size_t>(coarse.gids[i])];
   }
 }
 
-template <typename T>
 void MultigridPreconditioner::CoarseSolve(double h1, double h0) {
-  Level& coarse = levels_.back();
-  auto& buf = Data<T>(coarse);
-  const std::size_t n = coarse.ndofs;
-  for (std::size_t i = 0; i < n; ++i) {
-    coarse_rhs_[i] = static_cast<double>(buf.r[i]);
-  }
   if (coarse_direct_ok_) {
     CoarseSolveDirect();
-    for (std::size_t i = 0; i < n; ++i) {
-      buf.z[i] = static_cast<T>(coarse_sol_[i]);
-    }
     return;
   }
-  std::fill(coarse_sol_.begin(), coarse_sol_.end(), 0.0);
+  Level& coarse = levels_.back();
+  std::fill(coarse.z.begin(), coarse.z.end(), 0.0);
   HelmholtzSolver::Options coarse_options;
   coarse_options.h1 = h1;
   coarse_options.h0 = h0;
-  coarse_options.tolerance = options_.coarse_tolerance;
+  coarse_options.tolerance = kCoarseTolerance;
   coarse_options.relative_tolerance = true;
-  coarse_options.max_iterations = options_.coarse_max_iterations;
-  coarse_options.remove_mean = options_.remove_mean;
-  coarse_solver_->Solve(coarse_options, coarse_rhs_, coarse_sol_,
-                        coarse.mask);
-  for (std::size_t i = 0; i < n; ++i) {
-    buf.z[i] = static_cast<T>(coarse_sol_[i]);
-  }
+  coarse_options.max_iterations = kCoarseMaxIterations;
+  coarse_options.remove_mean = coarse_singular_;
+  coarse_solver_->Solve(coarse_options, coarse.r, coarse.z, coarse.mask);
 }
 
-template <typename T>
 void MultigridPreconditioner::Cycle(std::size_t l, double h1, double h0) {
   Level& level = levels_[l];
-  auto& buf = Data<T>(level);
   const std::size_t n = level.ndofs;
 
-  Smooth<T>(level, h1, h0, /*first=*/true);
+  Smooth(level, h1, h0, /*first=*/true);
 
   // Residual and coarse-grid correction.
-  LevelOperator<T>(level, h1, h0, {buf.z.data(), n}, {buf.res.data(), n});
-  for (std::size_t i = 0; i < n; ++i) buf.res[i] = buf.r[i] - buf.res[i];
+  LevelOperator(level, h1, h0, level.z, level.res);
+  for (std::size_t i = 0; i < n; ++i) level.res[i] = level.r[i] - level.res[i];
   Level& coarse = levels_[l + 1];
-  RestrictTo<T>(level, coarse);
+  RestrictTo(level, coarse);
   if (l + 2 == levels_.size()) {
-    CoarseSolve<T>(h1, h0);
+    CoarseSolve(h1, h0);
   } else {
-    auto& cbuf = Data<T>(coarse);
-    coarse.gs->Sum(std::span<T>(cbuf.r.data(), coarse.ndofs));
-    auto cmask = MaskOf<T>(coarse);
-    for (std::size_t i = 0; i < coarse.ndofs; ++i) cbuf.r[i] *= cmask[i];
-    Cycle<T>(l + 1, h1, h0);
+    coarse.gs->Sum(coarse.r);
+    for (std::size_t i = 0; i < coarse.ndofs; ++i) {
+      coarse.r[i] *= coarse.mask[i];
+    }
+    Cycle(l + 1, h1, h0);
   }
-  ProlongFrom<T>(coarse, level);
-  auto mask = MaskOf<T>(level);
-  for (std::size_t i = 0; i < n; ++i) buf.z[i] += buf.d[i] * mask[i];
+  ProlongFrom(coarse, level);
+  for (std::size_t i = 0; i < n; ++i) level.z[i] += level.d[i] * level.mask[i];
 
-  Smooth<T>(level, h1, h0, /*first=*/false);
+  Smooth(level, h1, h0, /*first=*/false);
 }
 
 double MultigridPreconditioner::EstimateLambdaMax(Level& level, double h1,
                                                   double h0) {
-  // Power iteration on the masked D^-1 A in double.  The seed is a fixed
-  // function of the global ids, so the estimate does not depend on the
-  // rank partition (up to reduction rounding).
+  // Lanczos on the masked D^-1 A, which is self-adjoint in the D inner
+  // product (nekRS estimates the bound the same way, with Arnoldi).  The
+  // largest Ritz value approaches lambda_max from below much faster than a
+  // power iteration does.  The seed is a fixed function of the global ids,
+  // so the estimate does not depend on the rank partition (up to reduction
+  // rounding).  Runs in the idle cycle vectors.
   const std::size_t n = level.ndofs;
-  auto& buf = level.dbl;
   auto mult = std::span<const double>(level.gs->Multiplicity());
+  std::vector<double>& prev = level.z;
+  std::vector<double>& v = level.d;
+  std::vector<double>& w = level.tmp;
+  auto d_norm = [&](const std::vector<double>& x) {
+    for (std::size_t i = 0; i < n; ++i) level.res[i] = level.diag[i] * x[i];
+    return std::sqrt(sem::AssembledDot(comm_, level.res, x, mult));
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    buf.d[i] = (1.0 + 0.5 * std::sin(0.7 * static_cast<double>(
-                                               level.gids[i] % 4096))) *
-               level.mask[i];
+    v[i] = (1.0 + 0.5 * std::sin(0.7 * static_cast<double>(
+                                         level.gids[i] % 4096))) *
+           level.mask[i];
+    prev[i] = 0.0;
   }
-  const int iters = options_.power_iterations < 1 ? 1
-                                                  : options_.power_iterations;
-  double lambda = 1.0;
-  for (int it = 0; it < iters; ++it) {
-    LevelOperator<double>(level, h1, h0, {buf.d.data(), n},
-                          {buf.tmp.data(), n});
+  double beta = d_norm(v);
+  if (!(beta > 0.0)) return 1.0;
+  for (std::size_t i = 0; i < n; ++i) v[i] /= beta;
+  beta = 0.0;
+  // The Lanczos tridiagonal: diagonal `alpha`, off-diagonal `offdiag`.
+  std::vector<double> alpha, offdiag;
+  const int iters = std::max(1, options_.lanczos_iterations);
+  for (int k = 0; k < iters; ++k) {
+    LevelOperator(level, h1, h0, v, w);
+    const double a = sem::AssembledDot(comm_, w, v, mult);
+    alpha.push_back(a);
     for (std::size_t i = 0; i < n; ++i) {
-      buf.tmp[i] = buf.tmp[i] / level.diag[i] * level.mask[i];
+      w[i] = w[i] / level.diag[i] * level.mask[i] - a * v[i] - beta * prev[i];
     }
-    const double norm2 = sem::AssembledDot(comm_, {buf.tmp.data(), n},
-                                           {buf.tmp.data(), n}, mult);
-    if (!(norm2 > 0.0)) return 1.0;
-    lambda = std::sqrt(norm2);
-    const double inv = 1.0 / lambda;
-    for (std::size_t i = 0; i < n; ++i) buf.d[i] = buf.tmp[i] * inv;
+    if (k + 1 == iters) break;
+    beta = d_norm(w);
+    // An invariant subspace: the Ritz values are exact.
+    if (!(beta > 1e-12 * std::abs(a))) break;
+    offdiag.push_back(beta);
+    for (std::size_t i = 0; i < n; ++i) {
+      prev[i] = v[i];
+      v[i] = w[i] / beta;
+    }
   }
-  return lambda;
+  return LargestEigenvalue(alpha, offdiag);
 }
 
 void MultigridPreconditioner::EnsureCoefficients(double h1, double h0) {
@@ -646,18 +520,10 @@ void MultigridPreconditioner::EnsureCoefficients(double h1, double h0) {
     for (std::size_t i = 0; i < level.ndofs; ++i) {
       if (level.diag[i] == 0.0 || level.mask[i] == 0.0) level.diag[i] = 1.0;
     }
-    if (options_.smoother == Smoother::kChebyshev) {
-      level.lambda_max = EstimateLambdaMax(level, h1, h0);
-    }
-    if (options_.precision == Precision::kFloat) {
-      for (std::size_t i = 0; i < level.ndofs; ++i) {
-        level.flt.diag[i] = static_cast<float>(level.diag[i]);
-      }
-    }
+    level.lambda_max = EstimateLambdaMax(level, h1, h0);
   }
-  if (options_.coarse_mode == CoarseMode::kDirect) {
-    BuildCoarseDirect(h1, h0);
-  }
+  coarse_singular_ = !has_dirichlet_ && h0 == 0.0;
+  BuildCoarseDirect(h1, h0);
   cached_h1_ = h1;
   cached_h0_ = h0;
   coefficients_ready_ = true;
@@ -676,20 +542,10 @@ void MultigridPreconditioner::Apply(double h1, double h0,
 
   EnsureCoefficients(h1, h0);
 
-  if (options_.precision == Precision::kDouble) {
-    auto& buf = levels_.front().dbl;
-    for (std::size_t i = 0; i < n; ++i) buf.r[i] = r[i];
-    Cycle<double>(0, h1, h0);
-    for (std::size_t i = 0; i < n; ++i) z[i] = buf.z[i];
-  } else {
-    // pfloat cycle: one narrowing conversion on entry, one widening on
-    // exit; everything in between (smoothing, operators, transfers,
-    // gather-scatter) runs in float.  The coarse CG stays double.
-    auto& buf = levels_.front().flt;
-    for (std::size_t i = 0; i < n; ++i) buf.r[i] = static_cast<float>(r[i]);
-    Cycle<float>(0, h1, h0);
-    for (std::size_t i = 0; i < n; ++i) z[i] = static_cast<double>(buf.z[i]);
-  }
+  Level& fine = levels_.front();
+  std::copy(r.begin(), r.end(), fine.r.begin());
+  Cycle(0, h1, h0);
+  std::copy(fine.z.begin(), fine.z.end(), z.begin());
 
   if (metrics != nullptr) {
     metrics->Add("solver.mg.cycles", 1.0);

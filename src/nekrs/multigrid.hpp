@@ -7,29 +7,21 @@
 // 1-D transfer matrices to the next coarser level; one symmetric V-cycle
 // per application:
 //
-//   smooth       : damped Jacobi or Chebyshev-accelerated Jacobi
+//   smooth       : degree-2 Chebyshev-accelerated Jacobi
 //   restrict     : multiplicity-unassemble + P^T, level by level
-//   coarse solve : Jacobi-CG on the vertex problem (tiny, loose tolerance)
+//   coarse solve : redundant dense Cholesky of the vertex problem, or
+//                  Jacobi-CG (loose tolerance) past the dense-size cap
 //   prolong      : P, add masked correction
 //   smooth       : symmetric with the pre-smoothing
 //
-// Chebyshev smoothing follows nekRS: a degree-k polynomial in D^-1 A with
-// eigenvalue bounds [lambda_max/10, 1.1 lambda_max] estimated by a few
-// power iterations per level whenever (h1, h0) changes.
-//
-// Mixed precision follows nekRS's pfloat/dfloat split: with
-// Precision::kFloat the entire V-cycle — smoother state, level operators,
-// residuals, transfers, gather-scatter exchanges — runs in float, while the
-// outer CG (and the coarse-grid CG) stay double.  The cycle is a fixed
-// linear operation either way, so it remains a valid CG preconditioner.
-//
-// The legacy configuration (Smoother::kJacobi, Precision::kDouble,
-// max_levels = 2 — the Options defaults) reproduces the historical
-// two-level cycle bit-for-bit.
+// Chebyshev smoothing follows nekRS: a degree-2 polynomial in D^-1 A with
+// eigenvalue bounds [lambda_max/10, 1.1 lambda_max], lambda_max estimated
+// by a few Lanczos steps per level whenever (h1, h0) changes.  The cycle
+// runs in double and is a fixed linear operation, so it is a valid CG
+// preconditioner.
 #pragma once
 
 #include <memory>
-#include <type_traits>
 
 #include "nekrs/helmholtz.hpp"
 #include "sem/box_mesh.hpp"
@@ -40,43 +32,12 @@ namespace nekrs {
 
 class MultigridPreconditioner final : public Preconditioner {
  public:
-  enum class Smoother {
-    kJacobi,     ///< fixed-weight damped Jacobi sweeps (legacy)
-    kChebyshev,  ///< degree-k Chebyshev acceleration of Jacobi (nekRS)
-  };
-  enum class Precision {
-    kDouble,  ///< dfloat everywhere (legacy, bit-identical mode)
-    kFloat,   ///< pfloat V-cycle under the double outer Krylov
-  };
-  enum class CoarseMode {
-    kIterative,  ///< Jacobi-CG on the vertex problem (legacy)
-    /// Redundant dense Cholesky of the assembled global vertex operator
-    /// (the role nekRS's direct/AMG coarse solve plays): every rank builds
-    /// and factors the same tiny matrix once per (h1, h0), and each cycle's
-    /// coarse solve is then one AllReduce plus two triangular sweeps —
-    /// instead of an iteration of latency-bound collectives.  Falls back
-    /// to kIterative when the vertex space exceeds the dense-size cap.
-    kDirect,
-  };
-
   struct Options {
-    Smoother smoother = Smoother::kJacobi;
-    Precision precision = Precision::kDouble;
-    /// Number of ladder levels including the order-1 coarse level;
-    /// 2 = the legacy single coarse jump, 0 = the full N -> N/2 -> 1 ladder.
-    int max_levels = 2;
-    int chebyshev_degree = 2;  ///< smoother polynomial degree (>= 1)
-    /// Power-iteration count for the D^-1 A spectral-radius estimate.
-    /// Chebyshev AMPLIFIES modes beyond its upper bound, so an
-    /// under-converged estimate poisons the smoother; 30 iterations of
-    /// setup-only cost keeps the 1.1x safety margin honest.
-    int power_iterations = 30;
-    int smooth_sweeps = 2;     ///< damped-Jacobi sweeps pre and post
-    double jacobi_weight = 0.8;      ///< damping factor
-    double coarse_tolerance = 0.05;  ///< relative tolerance of coarse CG
-    int coarse_max_iterations = 200;
-    CoarseMode coarse_mode = CoarseMode::kIterative;
-    bool remove_mean = false;  ///< singular (pure-Neumann) problems
+    /// Lanczos steps for the D^-1 A spectral-radius estimate.  Chebyshev
+    /// AMPLIFIES modes beyond its upper bound, so an under-converged
+    /// estimate poisons the smoother; 12 steps of setup-only cost land
+    /// within 4 % of lambda_max on the bench cases, inside the 1.1x margin.
+    int lanczos_iterations = 12;
   };
 
   /// Collective constructor. `spec` must be the fine mesh's spec;
@@ -99,35 +60,20 @@ class MultigridPreconditioner final : public Preconditioner {
   [[nodiscard]] int LevelOrder(int level) const {
     return levels_[static_cast<std::size_t>(level)].order;
   }
-  /// Spectral-radius estimate of D^-1 A on a level (Chebyshev smoother
-  /// only; 0 before the first Apply).
+  /// Spectral-radius estimate of D^-1 A on a level (0 before the first
+  /// Apply).
   [[nodiscard]] double LevelLambdaMax(int level) const {
     return levels_[static_cast<std::size_t>(level)].lambda_max;
   }
 
- private:
-  /// Per-precision V-cycle state of one level.  For double the operator
-  /// data (derivative matrices, geometric factors, mass, multiplicity)
-  /// lives in the level's ElementOperators/GatherScatter and only the
-  /// cycle vectors are held here; for float everything is down-converted
-  /// once at construction.
-  template <typename T>
-  struct LevelData {
-    // Down-converted operator data (float mode only; empty for double).
-    std::vector<T> deriv, deriv_t;  // np x np
-    std::vector<T> g11, g12, g13, g22, g23, g33, mass;
-    std::vector<T> mask, mult;
-    std::vector<T> restrict_1d, prolong_1d;  // to/from next coarser level
-    // Assembled Jacobi diagonal for the cached (h1, h0).
-    std::vector<T> diag;
-    // Cycle vectors: rhs, solution, residual, smoother direction, operator
-    // scratch.
-    std::vector<T> r, z, res, d, tmp;
-    // Fused-Laplacian (6 np^3) and Interp3D workspaces, per-element
-    // transfer staging.
-    std::vector<T> lap_scratch, interp_scratch, local_in, local_out;
-  };
+  /// Whether the coarse level is solved by the dense factorization (set on
+  /// the first Apply); false means the Jacobi-CG fallback.
+  [[nodiscard]] bool DirectCoarseSolve() const { return coarse_direct_ok_; }
 
+  /// Largest global vertex space the direct coarse solve factors.
+  static constexpr std::size_t kDirectCoarseMaxDofs = 2048;
+
+ private:
   struct Level {
     int order = 0;
     int np = 0;
@@ -144,58 +90,52 @@ class MultigridPreconditioner final : public Preconditioner {
     // 1-D transfers to the NEXT coarser level (absent on the last level):
     // prolong is np x np_next, restrict its transpose.
     std::vector<double> restrict_1d, prolong_1d;
-    std::vector<double> diag;  // assembled Jacobi diagonal (double master)
+    std::vector<double> diag;  // assembled Jacobi diagonal
     double lambda_max = 0.0;
-    LevelData<double> dbl;
-    LevelData<float> flt;
+    // Cycle vectors: rhs, solution, residual, smoother direction, operator
+    // scratch.
+    std::vector<double> r, z, res, d, tmp;
+    // Fused-Laplacian (6 np^3) and Interp3D workspaces, per-element
+    // transfer staging.
+    std::vector<double> lap_scratch, interp_scratch, local_in, local_out;
   };
 
-  template <typename T>
-  LevelData<T>& Data(Level& level) {
-    if constexpr (std::is_same_v<T, double>) {
-      return level.dbl;
-    } else {
-      return level.flt;
-    }
-  }
-
-  /// w = mask (QQ^T (h1 A + h0 B) x) on `level`, in precision T.
-  template <typename T>
+  /// w = mask (QQ^T (h1 A + h0 B) x) on `level`.
   void LevelOperator(Level& level, double h1, double h0,
-                     std::span<const T> x, std::span<T> w);
+                     std::span<const double> x, std::span<double> w);
 
   /// In-place smoothing of A z = r on `level`; `first` means z is to be
   /// treated as zero (pre-smoothing), saving one operator application.
-  template <typename T>
   void Smooth(Level& level, double h1, double h0, bool first);
 
-  template <typename T>
   void RestrictTo(Level& fine, Level& coarse);
-  template <typename T>
   void ProlongFrom(Level& coarse, Level& fine);
 
-  template <typename T>
   void Cycle(std::size_t l, double h1, double h0);
 
-  template <typename T>
   void CoarseSolve(double h1, double h0);
 
   /// Assemble, regularize (singular problems), and Cholesky-factor the
-  /// global vertex operator for CoarseMode::kDirect.  Collective; leaves
-  /// coarse_direct_ok_ false (iterative fallback) past the size cap or on
-  /// factorization failure.
+  /// global vertex operator.  Collective; leaves coarse_direct_ok_ false
+  /// (iterative fallback) past the size cap or on factorization failure.
   void BuildCoarseDirect(double h1, double h0);
 
   /// One direct coarse solve: assembled dual AllReduce, triangular sweeps,
   /// nullspace projection for singular problems. Collective.
   void CoarseSolveDirect();
 
-  /// Rebuild per-level diagonals (and Chebyshev eigenvalue bounds) when the
-  /// Helmholtz coefficients change. Collective.
+  /// Rebuild per-level diagonals, Chebyshev eigenvalue bounds and the
+  /// coarse factorization when the Helmholtz coefficients change.
+  /// Collective.
   void EnsureCoefficients(double h1, double h0);
 
-  /// Power iteration on D^-1 A (double, deterministic gid-based seed).
+  /// Lanczos estimate of lambda_max(D^-1 A) (deterministic gid-based
+  /// seed).
   double EstimateLambdaMax(Level& level, double h1, double h0);
+
+  static constexpr int kChebyshevDegree = 2;
+  static constexpr double kCoarseTolerance = 0.05;  ///< relative, coarse CG
+  static constexpr int kCoarseMaxIterations = 200;
 
   mpimini::Comm comm_;
   Options options_;
@@ -205,17 +145,17 @@ class MultigridPreconditioner final : public Preconditioner {
   std::vector<Level> levels_;
   std::unique_ptr<HelmholtzSolver> coarse_solver_;
 
-  // Coarse-solve staging (double regardless of cycle precision).
-  std::vector<double> coarse_rhs_, coarse_sol_;
+  // Whether any rank masks a dof: without Dirichlet nodes and with h0 = 0
+  // the problem is pure Neumann (singular on constants).
+  bool has_dirichlet_ = false;
+  bool coarse_singular_ = false;
 
-  // Direct coarse solve state (CoarseMode::kDirect): the in-place Cholesky
-  // factor of the assembled global vertex operator, the assembled lumped
-  // mass (nullspace weight), the 0/1 Dirichlet row mask, and the global
-  // right-hand-side staging vector.
-  static constexpr std::size_t kDirectCoarseMaxDofs = 2048;
+  // Direct coarse solve state: the in-place Cholesky factor of the
+  // assembled global vertex operator, the assembled lumped mass (nullspace
+  // weight), the 0/1 Dirichlet row mask, and the global right-hand-side
+  // staging vector.
   std::size_t coarse_nglobal_ = 0;
   bool coarse_direct_ok_ = false;
-  bool coarse_singular_ = false;
   std::vector<double> coarse_chol_;
   std::vector<double> coarse_weight_;
   std::vector<double> coarse_rowmask_;

@@ -149,16 +149,15 @@ GatherScatter::GatherScatter(mpimini::Comm comm,
   }
 }
 
-template <typename T>
-void GatherScatter::SumT(std::span<T> values) const {
+void GatherScatter::Sum(std::span<double> values) const {
   if (values.size() != ndofs_) {
     throw std::invalid_argument("sem: GatherScatter::Sum size mismatch");
   }
 
   // Local phase: every group's copies become the local sum.
-  std::vector<T> local_sum(groups_.size());
+  std::vector<double> local_sum(groups_.size());
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    T sum = 0;
+    double sum = 0.0;
     for (std::int32_t idx : groups_[g]) {
       sum += values[static_cast<std::size_t>(idx)];
     }
@@ -170,17 +169,17 @@ void GatherScatter::SumT(std::span<T> values) const {
 
   // Ship local sums of shared ids to their coordinators.
   for (const PeerPlan& plan : send_plan_) {
-    std::vector<T> payload(plan.group_index.size());
+    std::vector<double> payload(plan.group_index.size());
     for (std::size_t w = 0; w < plan.group_index.size(); ++w) {
       payload[w] = local_sum[static_cast<std::size_t>(plan.group_index[w])];
     }
-    comm_.Send<T>(plan.peer, kTagGsData, std::span<const T>(payload));
+    comm_.Send<double>(plan.peer, kTagGsData, payload);
   }
 
   // Coordinator phase: accumulate and return totals.
-  std::vector<T> acc(num_slots_, 0);
+  std::vector<double> acc(num_slots_, 0.0);
   for (const HolderPlan& plan : recv_plan_) {
-    std::vector<T> payload = comm_.Recv<T>(plan.holder, kTagGsData);
+    std::vector<double> payload = comm_.Recv<double>(plan.holder, kTagGsData);
     if (payload.size() != plan.slot.size()) {
       throw std::runtime_error("sem: gather-scatter payload size mismatch");
     }
@@ -189,16 +188,16 @@ void GatherScatter::SumT(std::span<T> values) const {
     }
   }
   for (const HolderPlan& plan : recv_plan_) {
-    std::vector<T> totals(plan.slot.size());
+    std::vector<double> totals(plan.slot.size());
     for (std::size_t w = 0; w < plan.slot.size(); ++w) {
       totals[w] = acc[static_cast<std::size_t>(plan.slot[w])];
     }
-    comm_.Send<T>(plan.holder, kTagGsTotal, std::span<const T>(totals));
+    comm_.Send<double>(plan.holder, kTagGsTotal, totals);
   }
 
   // Holder phase: overwrite shared groups with global totals.
   for (const PeerPlan& plan : send_plan_) {
-    std::vector<T> totals = comm_.Recv<T>(plan.peer, kTagGsTotal);
+    std::vector<double> totals = comm_.Recv<double>(plan.peer, kTagGsTotal);
     if (totals.size() != plan.group_index.size()) {
       throw std::runtime_error("sem: gather-scatter total size mismatch");
     }
@@ -210,12 +209,6 @@ void GatherScatter::SumT(std::span<T> values) const {
     }
   }
 }
-
-void GatherScatter::Sum(std::span<double> values) const {
-  SumT<double>(values);
-}
-
-void GatherScatter::Sum(std::span<float> values) const { SumT<float>(values); }
 
 void GatherScatter::Average(std::span<double> values) const {
   Sum(values);

@@ -31,12 +31,6 @@ class GatherScatter {
   /// all copies on all ranks.
   void Sum(std::span<double> values) const;
 
-  /// Single-precision assembly for the multigrid `pfloat` path: identical
-  /// exchange plan, float accumulation and float wire payloads (half the
-  /// bytes on the wire).  Every rank participating in one logical Sum must
-  /// use the same precision — the wire tags are shared.
-  void Sum(std::span<float> values) const;
-
   /// Collective: like Sum but leaves the value averaged over the copy count
   /// (used to smooth visualization fields).
   void Average(std::span<double> values) const;
@@ -51,9 +45,6 @@ class GatherScatter {
   }
 
  private:
-  template <typename T>
-  void SumT(std::span<T> values) const;
-
   mutable mpimini::Comm comm_;
   std::size_t ndofs_ = 0;
 

@@ -5,9 +5,9 @@
 // small dense matrix along one of the three index directions; these kernels
 // are the flop-dominant inner loops of the solver (libParanumal's core).
 //
-// Every kernel is templated on the scalar type: the solver proper runs in
-// double (`dfloat`), while the multigrid smoother path runs the same
-// kernels in float (`pfloat`) — NekRS's mixed-precision split.  The double
+// Every kernel is templated on the scalar type: the solver runs in double
+// (`dfloat`); the float (`pfloat`) instantiations are kept for the kernel
+// benches and tests (NekRS's mixed-precision split).  The double
 // instantiations keep a fixed floating-point evaluation order so callers
 // may rely on bit-identical results across refactors (no FMA contraction or
 // reassociation is licensed by this code).
