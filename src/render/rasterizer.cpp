@@ -1,12 +1,17 @@
 #include "render/rasterizer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace render {
 
-Framebuffer::Framebuffer(int width, int height)
+Framebuffer::Framebuffer(int width, int height, Rgb background)
     : width_(width),
       height_(height),
       color_("render", static_cast<std::size_t>(width) * height * 3),
@@ -14,7 +19,7 @@ Framebuffer::Framebuffer(int width, int height)
   if (width < 1 || height < 1) {
     throw std::invalid_argument("render: framebuffer size must be positive");
   }
-  Clear(Rgb{0, 0, 0});
+  Clear(background);
 }
 
 void Framebuffer::Clear(Rgb background) {
@@ -55,7 +60,123 @@ namespace {
 constexpr int kHexFaces[6][4] = {{0, 3, 2, 1}, {4, 5, 6, 7}, {0, 1, 5, 4},
                                  {1, 2, 6, 5}, {2, 3, 7, 6}, {3, 0, 4, 7}};
 
+// A face's corners as coordinate ids (see SharedFaces), in face order.
+using FaceCorners = std::array<std::size_t, 4>;
+
+// True when `b` runs around the corners of `a` in the opposite direction:
+// the two faces have the same four edges, seen from either side.
+bool Opposed(const FaceCorners& a, const FaceCorners& b) {
+  for (std::size_t r = 0; r < 4; ++r) {
+    bool match = true;
+    for (std::size_t j = 0; j < 4 && match; ++j) {
+      match = b[(r + 4 - j) % 4] == a[j];
+    }
+    if (match) return true;
+  }
+  return false;
+}
+
+// splitmix64's finalizer: spreads a word's bits over the whole word.
+std::uint64_t Mix(std::uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+// Positive screen area: the triangle's outward winding shows its back.
+bool BackFacing(const ScreenVertex& a, const ScreenVertex& b,
+                const ScreenVertex& c) {
+  return (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y) > 0.0;
+}
+
 }  // namespace
+
+SharedFaces::SharedFaces(const svtk::UnstructuredGrid& grid)
+    : neighbor_(6 * grid.NumCells(), -1) {
+  // Both lookups are open-addressing tables over flat vectors; a hash only
+  // picks where to start probing, every match compares the full key.
+  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
+
+  // Give every distinct point position (bit pattern of x, y, z) one id, so
+  // the duplicated nodes at element interfaces share it.
+  const auto points = grid.Points();
+  const std::size_t np = grid.NumPoints();
+  std::vector<std::size_t> id(np);
+  {
+    const std::size_t mask = std::bit_ceil(2 * np + 1) - 1;
+    std::vector<std::size_t> slot(mask + 1, kEmpty);
+    for (std::size_t p = 0; p < np; ++p) {
+      std::uint64_t h = 0;
+      for (std::size_t d = 0; d < 3; ++d) {
+        h = Mix(h ^ std::bit_cast<std::uint64_t>(points[3 * p + d]));
+      }
+      for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        if (slot[i] == kEmpty) {
+          slot[i] = id[p] = p;
+          break;
+        }
+        if (std::memcmp(&points[3 * slot[i]], &points[3 * p],
+                        3 * sizeof(double)) == 0) {
+          id[p] = slot[i];
+          break;
+        }
+      }
+    }
+  }
+
+  // Group the faces by their sorted corner ids.  A face pairs when its
+  // group holds exactly one other face, of another cell, running around
+  // the same corners in the opposite direction.
+  const auto connectivity = grid.Connectivity();
+  auto corners_of = [&](std::size_t face) {
+    FaceCorners corners;
+    for (std::size_t k = 0; k < 4; ++k) {
+      corners[k] = id[static_cast<std::size_t>(
+          connectivity[8 * (face / 6) +
+                       static_cast<std::size_t>(kHexFaces[face % 6][k])])];
+    }
+    return corners;
+  };
+  const std::size_t nf = neighbor_.size();
+  std::vector<FaceCorners> keys(nf);
+  // Per group, indexed by its first face: the number of faces with the key
+  // and the second of them.
+  std::vector<std::size_t> group_size(nf, 0);
+  std::vector<std::size_t> second(nf, kEmpty);
+  {
+    // Each slot keeps its face's hash, so probing past other keys costs no
+    // look-up in `keys`.
+    const std::size_t mask = std::bit_ceil(2 * nf + 1) - 1;
+    std::vector<std::pair<std::uint64_t, std::size_t>> slot(mask + 1,
+                                                            {0, kEmpty});
+    for (std::size_t f = 0; f < nf; ++f) {
+      keys[f] = corners_of(f);
+      std::sort(keys[f].begin(), keys[f].end());
+      std::uint64_t h = 0;
+      for (std::size_t c : keys[f]) h = Mix(h ^ c);
+      for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        auto& [hash, first] = slot[i];
+        if (first == kEmpty) {
+          slot[i] = {h, f};
+          group_size[f] = 1;
+          break;
+        }
+        if (hash == h && keys[first] == keys[f]) {
+          if (++group_size[first] == 2) second[first] = f;
+          break;
+        }
+      }
+    }
+  }
+  for (std::size_t f0 = 0; f0 < nf; ++f0) {
+    const std::size_t f1 = second[f0];
+    if (group_size[f0] == 2 && f0 / 6 != f1 / 6 &&
+        Opposed(corners_of(f0), corners_of(f1))) {
+      neighbor_[f0] = static_cast<std::int64_t>(f1 / 6);
+      neighbor_[f1] = static_cast<std::int64_t>(f0 / 6);
+    }
+  }
+}
 
 ScreenVertex ProjectPoint(const Mat4& vp, const Mat4& view, const Vec3& world,
                           int width, int height) {
@@ -151,7 +272,7 @@ void DrawScalarBar(const Colormap& cmap, double lo, double hi,
 
 RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
                           const RenderSpec& spec, const Camera& camera,
-                          Framebuffer& fb) {
+                          Framebuffer& fb, const SharedFaces* shared) {
   RasterStats stats;
   const svtk::DataArray* array =
       spec.centering == svtk::Centering::kPoint
@@ -159,6 +280,10 @@ RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
           : grid.CellArray(spec.array);
   if (!array) {
     throw std::invalid_argument("render: no such array '" + spec.array + "'");
+  }
+  if (shared != nullptr && shared->NumCells() != grid.NumCells()) {
+    throw std::invalid_argument(
+        "render: shared-face classification is for another grid");
   }
 
   const bool magnitude = spec.color_by_magnitude && array->Components() > 1;
@@ -180,16 +305,20 @@ RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
   const Mat4 view = camera.ViewMatrix();
   const std::size_t np = grid.NumPoints();
   std::vector<ScreenVertex> projected(np);
+  bool all_visible = true;
   for (std::size_t i = 0; i < np; ++i) {
     const auto p = grid.GetPoint(i);
     projected[i] = ProjectPoint(vp, view, {p[0], p[1], p[2]}, fb.Width(),
                                 fb.Height());
+    all_visible = all_visible && projected[i].visible;
     if (spec.centering == svtk::Centering::kPoint) {
       projected[i].scalar = scalar_of(i);
     }
   }
 
+  // The view's slice/threshold filter, per cell.
   const std::size_t nc = grid.NumCells();
+  std::vector<char> drawn(nc, 1);
   for (std::size_t cell = 0; cell < nc; ++cell) {
     if (spec.slice_axis) {
       // Keep only cells straddling the slice plane.
@@ -205,32 +334,77 @@ RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
           hi_c = std::max(hi_c, v);
         }
       }
-      if (spec.slice_position < lo_c || spec.slice_position > hi_c) continue;
-    }
-    double cell_scalar = 0.0;
-    if (spec.centering == svtk::Centering::kCell) {
-      cell_scalar = scalar_of(cell);
+      if (spec.slice_position < lo_c || spec.slice_position > hi_c) {
+        drawn[cell] = 0;
+        continue;
+      }
     }
     if (spec.threshold_min || spec.threshold_max) {
-      double probe = cell_scalar;
-      if (spec.centering == svtk::Centering::kPoint) {
-        const auto nodes = grid.GetCell(cell);
-        probe = 0.0;
-        for (std::int64_t nid : nodes) {
+      double probe = 0.0;
+      if (spec.centering == svtk::Centering::kCell) {
+        probe = scalar_of(cell);
+      } else {
+        for (std::int64_t nid : grid.GetCell(cell)) {
           probe += scalar_of(static_cast<std::size_t>(nid));
         }
         probe /= 8.0;
       }
-      if (spec.threshold_min && probe < *spec.threshold_min) continue;
-      if (spec.threshold_max && probe > *spec.threshold_max) continue;
+      if ((spec.threshold_min && probe < *spec.threshold_min) ||
+          (spec.threshold_max && probe > *spec.threshold_max)) {
+        drawn[cell] = 0;
+      }
     }
+  }
 
+  // Cull only when every point lies in front of the camera, which also
+  // keeps the camera outside every cell.
+  const bool cull = all_visible && np > 0;
+  std::optional<SharedFaces> own;
+  if (cull && shared == nullptr) shared = &own.emplace(grid);
+  auto drawn_neighbor = [&](std::size_t cell, int f) -> std::int64_t {
+    const std::int64_t other = shared->Neighbor(cell, f);
+    return other >= 0 && drawn[static_cast<std::size_t>(other)] ? other : -1;
+  };
+  auto corner = [&](const std::array<std::int64_t, 8>& nodes, int f, int k) {
+    return projected[static_cast<std::size_t>(nodes[kHexFaces[f][k]])];
+  };
+
+  // A drawn cell is exposed when a face of it that no drawn cell shares
+  // turns a triangle toward the camera.
+  std::vector<char> exposed;
+  if (cull) {
+    exposed.assign(nc, 0);
+    for (std::size_t cell = 0; cell < nc; ++cell) {
+      if (!drawn[cell]) continue;
+      const auto nodes = grid.GetCell(cell);
+      for (int f = 0; f < 6 && !exposed[cell]; ++f) {
+        exposed[cell] =
+            drawn_neighbor(cell, f) < 0 &&
+            !(BackFacing(corner(nodes, f, 0), corner(nodes, f, 1),
+                         corner(nodes, f, 2)) &&
+              BackFacing(corner(nodes, f, 0), corner(nodes, f, 2),
+                         corner(nodes, f, 3)));
+      }
+    }
+  }
+
+  for (std::size_t cell = 0; cell < nc; ++cell) {
+    if (!drawn[cell]) continue;
+    double cell_scalar = 0.0;
+    if (spec.centering == svtk::Centering::kCell) {
+      cell_scalar = scalar_of(cell);
+    }
     const auto nodes = grid.GetCell(cell);
     bool drew_cell = false;
-    for (const auto& face : kHexFaces) {
+    for (int f = 0; f < 6; ++f) {
+      // Draw every face of an exposed cell and every face shared with one.
+      if (cull && !exposed[cell]) {
+        const std::int64_t other = drawn_neighbor(cell, f);
+        if (other < 0 || !exposed[static_cast<std::size_t>(other)]) continue;
+      }
       ScreenVertex corners[4];
       for (int k = 0; k < 4; ++k) {
-        corners[k] = projected[static_cast<std::size_t>(nodes[face[k]])];
+        corners[k] = corner(nodes, f, k);
         if (spec.centering == svtk::Centering::kCell) {
           corners[k].scalar = cell_scalar;
         }

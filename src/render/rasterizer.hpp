@@ -1,17 +1,47 @@
 // Software rasterization of svtk unstructured hex grids: the Catalyst/
 // ParaView rendering stand-in.
 //
-// Every hex cell contributes its six quad faces (two triangles each) with
+// Every drawn hex cell contributes its quad faces (two triangles each) with
 // per-vertex scalar colors mapped through a Colormap; a z-buffer resolves
-// visibility, so the opaque outer surface (or a thresholded cell subset, as
-// with ParaView's Threshold filter) is rendered correctly without needing
-// global sorting.  Each rank rasterizes its own blocks; the compositor then
-// merges framebuffers across ranks by depth (direct-send compositing).
+// visibility, so the opaque outer surface (or a thresholded or sliced cell
+// subset, as with ParaView's Threshold and Slice filters) is rendered
+// correctly without needing global sorting.  Each rank rasterizes its own
+// blocks; the compositor then merges framebuffers across ranks by depth
+// (direct-send compositing).
+//
+// Like ParaView's surface representation, RasterizeGrid skips faces that
+// cannot reach the framebuffer, keeping its colour and depth planes equal,
+// bit for bit, to drawing all six faces of every drawn cell (a cell that
+// passes the view's slice/threshold filter):
+//   - Two faces are shared when their four corner points have bit-identical
+//     coordinates, so the duplicated nodes at element interfaces match, and
+//     run around the same edges in opposite directions.  A face that no
+//     other drawn cell shares is on the surface.
+//   - A drawn cell is exposed when one of its surface faces turns a
+//     triangle toward the camera.  Every face of an exposed cell is drawn,
+//     and so is every face that another cell shares with an exposed cell.
+//     The rest are skipped: faces between two unexposed cells, and the
+//     surface faces of unexposed cells, which all face away.
+//   - Nothing is skipped unless every grid point lies in front of the
+//     camera.  That keeps the camera outside every cell (a zoomed camera
+//     can sit inside the domain) and every triangle whole.
+// A ray from the camera enters the drawn cells through a front surface face
+// of an exposed cell, so whatever lies deeper than that cell's faces is
+// hidden.  The whole exposed layer is kept, not just the front surface,
+// because the rasterizer settles ties itself: a pixel centre exactly on an
+// edge can be missed by the triangles on both sides, and faces that meet at
+// an edge reach equal float depths near it, where the first drawn wins.  In
+// both cases the next face behind decides the pixel, and the layer keeps
+// it.  Only two such ties lined up on one pixel could reach past the layer
+// (DESIGN.md §3e).  The cull assumes cells wound like VTK hexahedra, every
+// face turning outward.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "instrument/memory_tracker.hpp"
 #include "render/camera.hpp"
@@ -23,7 +53,8 @@ namespace render {
 /// RGB + depth framebuffer. Pixels are tracked under category "render".
 class Framebuffer {
  public:
-  Framebuffer(int width, int height);
+  /// A `width` x `height` frame cleared to `background` at far depth.
+  Framebuffer(int width, int height, Rgb background = {0, 0, 0});
 
   [[nodiscard]] int Width() const { return width_; }
   [[nodiscard]] int Height() const { return height_; }
@@ -71,6 +102,8 @@ struct RenderSpec {
   Rgb background{20, 20, 30};
 };
 
+/// Cells and triangles count only when they reach the framebuffer (write
+/// at least one pixel); faces RasterizeGrid skips never count.
 struct RasterStats {
   std::size_t cells_drawn = 0;
   std::size_t triangles_drawn = 0;
@@ -104,10 +137,35 @@ void RasterizeShadedTriangle(const ScreenVertex& a, const ScreenVertex& b,
 void DrawScalarBar(const Colormap& cmap, double lo, double hi,
                    Framebuffer& fb);
 
+/// Which hex faces of a grid are shared between two cells.  It depends
+/// only on the points and the connectivity, not on the view, so one
+/// classification serves every view of a grid.  Points with bit-identical
+/// coordinates get one id (a sort), faces are bucketed by their smallest
+/// corner id, and faces are compared on all four ids, so no hash ever
+/// decides a match.  A face pairs only when exactly one face of another
+/// cell has the same corners and runs around them in the opposite
+/// direction.
+class SharedFaces {
+ public:
+  explicit SharedFaces(const svtk::UnstructuredGrid& grid);
+
+  [[nodiscard]] std::size_t NumCells() const { return neighbor_.size() / 6; }
+  /// The cell on the other side of face `face` (0..5) of `cell`, or -1.
+  [[nodiscard]] std::int64_t Neighbor(std::size_t cell, int face) const {
+    return neighbor_[6 * cell + static_cast<std::size_t>(face)];
+  }
+
+ private:
+  std::vector<std::int64_t> neighbor_;  // 6 per cell
+};
+
 /// Rasterize `grid` into `fb` (which must already be cleared / may contain
-/// prior geometry). Returns drawing statistics.
+/// prior geometry). Returns drawing statistics.  `shared` is `grid`'s face
+/// classification; when null and the camera allows culling, it is built
+/// for this call.
 RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
                           const RenderSpec& spec, const Camera& camera,
-                          Framebuffer& fb);
+                          Framebuffer& fb,
+                          const SharedFaces* shared = nullptr);
 
 }  // namespace render

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "instrument/metrics.hpp"
 #include "instrument/provenance.hpp"
@@ -27,6 +28,9 @@ bool CatalystAnalysisAdaptor::Execute(DataAdaptor& data) {
   std::shared_ptr<svtk::UnstructuredGrid> mesh = data.GetMesh(0);
   if (!mesh) return false;
 
+  // The shared-face classification depends only on the grid, so every
+  // surface view of this step reuses one.
+  std::optional<render::SharedFaces> shared;
   for (const CatalystView& view : options_.views) {
     if (!mesh->PointArray(view.array) && !mesh->CellArray(view.array)) {
       if (!data.AddArray(*mesh, view.array, view.centering)) return false;
@@ -71,8 +75,7 @@ bool CatalystAnalysisAdaptor::Execute(DataAdaptor& data) {
         render::FitCamera(metadata.global_bounds, view.azimuth,
                           view.elevation, aspect, view.zoom);
 
-    render::Framebuffer fb(options_.width, options_.height);
-    fb.Clear(spec.background);
+    render::Framebuffer fb(options_.width, options_.height, spec.background);
     instrument::MetricsRegistry* metrics = instrument::CurrentMetrics();
     {
       instrument::Span render_span("catalyst.render");
@@ -82,11 +85,11 @@ bool CatalystAnalysisAdaptor::Execute(DataAdaptor& data) {
         const render::TriangleMesh surface = render::ExtractIsosurface(
             *mesh, iso_array, *view.isovalue, view.array,
             view.color_by_magnitude);
-        last_stats_ = render::RasterizeTriangleMesh(
-            surface, view.colormap, spec.range_min, spec.range_max, camera,
-            fb);
+        render::RasterizeTriangleMesh(surface, view.colormap, spec.range_min,
+                                      spec.range_max, camera, fb);
       } else {
-        last_stats_ = render::RasterizeGrid(*mesh, spec, camera, fb);
+        if (!shared) shared.emplace(*mesh);
+        render::RasterizeGrid(*mesh, spec, camera, fb, &*shared);
       }
       if (metrics != nullptr) {
         metrics->Observe(

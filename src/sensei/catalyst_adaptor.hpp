@@ -2,7 +2,7 @@
 //
 // The paper's Catalyst configuration renders images via ParaView/OSPRay
 // driven by a Python pipeline; here the same role is played by the render
-// module (rasterize local blocks, depth-composite across ranks, write PPM).
+// module (rasterize local blocks, depth-composite across ranks, write PNG).
 // Each Execute renders every configured view — the in transit mesoscale
 // case renders two images per trigger, matching §4.2.
 #pragma once
@@ -83,15 +83,11 @@ class CatalystAnalysisAdaptor final : public AnalysisAdaptor {
   }
 
   [[nodiscard]] std::size_t ImagesWritten() const { return images_written_; }
-  [[nodiscard]] const render::RasterStats& LastStats() const {
-    return last_stats_;
-  }
 
  private:
   CatalystOptions options_;
   std::size_t bytes_written_ = 0;
   std::size_t images_written_ = 0;
-  render::RasterStats last_stats_;
 };
 
 }  // namespace sensei

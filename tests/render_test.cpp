@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <numbers>
 
+#include "codec/codec.hpp"
 #include "mpimini/runtime.hpp"
 #include "render/camera.hpp"
 #include "render/colormap.hpp"
@@ -34,6 +40,147 @@ svtk::UnstructuredGrid MakeCube(double lo, double hi, double scalar) {
   svtk::DataArray& s = grid.AddPointArray("f", 1);
   for (std::size_t t = 0; t < 8; ++t) s.At(t) = scalar;
   return grid;
+}
+
+// A spectral-element-style grid: ex*ey*ez elements over [0,lx]x[0,ly]x[0,lz],
+// each tessellated into order^3 hexes over its own (order+1)^3 Lobatto-
+// spaced nodes, element-major, so interface nodes are duplicated with
+// bit-identical coordinates.  Point arrays "f" (scalar) and "v" (vector),
+// cell array "c".
+svtk::UnstructuredGrid MakeSemGrid(int ex, int ey, int ez, int order,
+                                   double lx, double ly, double lz) {
+  const int np = order + 1;
+  const int nel = ex * ey * ez;
+  svtk::UnstructuredGrid grid(
+      static_cast<std::size_t>(nel) * np * np * np,
+      static_cast<std::size_t>(nel) * order * order * order);
+  auto t = [order](int i) {
+    return 0.5 * (1.0 - std::cos(std::numbers::pi * i / order));
+  };
+  std::size_t cell = 0;
+  for (int e = 0; e < nel; ++e) {
+    const int e0 = e % ex;
+    const int e1 = (e / ex) % ey;
+    const int e2 = e / (ex * ey);
+    const auto base = static_cast<std::int64_t>(e) * np * np * np;
+    for (int k = 0; k < np; ++k) {
+      for (int j = 0; j < np; ++j) {
+        for (int i = 0; i < np; ++i) {
+          grid.SetPoint(static_cast<std::size_t>(base + i + np * (j + np * k)),
+                        (e0 + t(i)) * lx / ex, (e1 + t(j)) * ly / ey,
+                        (e2 + t(k)) * lz / ez);
+        }
+      }
+    }
+    auto id = [&](int i, int j, int k) { return base + i + np * (j + np * k); };
+    for (int k = 0; k < order; ++k) {
+      for (int j = 0; j < order; ++j) {
+        for (int i = 0; i < order; ++i) {
+          grid.SetCell(cell++, {id(i, j, k), id(i + 1, j, k),
+                                id(i + 1, j + 1, k), id(i, j + 1, k),
+                                id(i, j, k + 1), id(i + 1, j, k + 1),
+                                id(i + 1, j + 1, k + 1), id(i, j + 1, k + 1)});
+        }
+      }
+    }
+  }
+  svtk::DataArray& f = grid.AddPointArray("f", 1);
+  svtk::DataArray& v = grid.AddPointArray("v", 3);
+  for (std::size_t p = 0; p < grid.NumPoints(); ++p) {
+    const auto x = grid.GetPoint(p);
+    f.At(p) = std::sin(3.0 * x[0]) * std::cos(2.0 * x[1]) + x[2];
+    v.At(p, 0) = f.At(p);
+    v.At(p, 1) = x[1] - x[2];
+    v.At(p, 2) = x[0] * x[2];
+  }
+  svtk::DataArray& c = grid.AddCellArray("c", 1);
+  for (std::size_t q = 0; q < grid.NumCells(); ++q) {
+    c.At(q) = static_cast<double>(q % 7);
+  }
+  return grid;
+}
+
+// The unculled reference: every face of every cell that passes the view's
+// filter, through the public triangle rasterizer, in cell order.
+void RasterizeAllFaces(const svtk::UnstructuredGrid& grid,
+                       const RenderSpec& spec, const Camera& camera,
+                       Framebuffer& fb) {
+  constexpr int kFaces[6][4] = {{0, 3, 2, 1}, {4, 5, 6, 7}, {0, 1, 5, 4},
+                                {1, 2, 6, 5}, {2, 3, 7, 6}, {3, 0, 4, 7}};
+  const bool point = spec.centering == svtk::Centering::kPoint;
+  const svtk::DataArray* array =
+      point ? grid.PointArray(spec.array) : grid.CellArray(spec.array);
+  const bool magnitude = spec.color_by_magnitude && array->Components() > 1;
+  auto scalar_of = [&](std::size_t tuple) {
+    return magnitude ? array->Magnitude(tuple) : array->At(tuple);
+  };
+  double lo = spec.range_min;
+  double hi = spec.range_max;
+  if (lo == hi) {
+    const auto range = array->ValueRange(magnitude);
+    lo = range.min;
+    hi = range.max;
+  }
+  const Colormap& cmap = GetColormap(spec.colormap);
+  const render::Mat4 vp = camera.ViewProjection();
+  const render::Mat4 view = camera.ViewMatrix();
+  std::vector<render::ScreenVertex> projected(grid.NumPoints());
+  for (std::size_t i = 0; i < grid.NumPoints(); ++i) {
+    const auto p = grid.GetPoint(i);
+    projected[i] = render::ProjectPoint(vp, view, {p[0], p[1], p[2]},
+                                        fb.Width(), fb.Height());
+    if (point) projected[i].scalar = scalar_of(i);
+  }
+  render::RasterStats stats;
+  for (std::size_t cell = 0; cell < grid.NumCells(); ++cell) {
+    const auto nodes = grid.GetCell(cell);
+    if (spec.slice_axis) {
+      double lo_c = std::numeric_limits<double>::infinity();
+      double hi_c = -lo_c;
+      for (std::int64_t n : nodes) {
+        const double x = grid.GetPoint(static_cast<std::size_t>(n))
+            [static_cast<std::size_t>(*spec.slice_axis)];
+        lo_c = std::min(lo_c, x);
+        hi_c = std::max(hi_c, x);
+      }
+      if (spec.slice_position < lo_c || spec.slice_position > hi_c) continue;
+    }
+    double probe = point ? 0.0 : scalar_of(cell);
+    if (point) {
+      for (std::int64_t n : nodes) {
+        probe += scalar_of(static_cast<std::size_t>(n));
+      }
+      probe /= 8.0;
+    }
+    if (spec.threshold_min && probe < *spec.threshold_min) continue;
+    if (spec.threshold_max && probe > *spec.threshold_max) continue;
+    for (const auto& face : kFaces) {
+      render::ScreenVertex q[4];
+      for (int k = 0; k < 4; ++k) {
+        q[k] = projected[static_cast<std::size_t>(nodes[face[k]])];
+        if (!point) q[k].scalar = scalar_of(cell);
+      }
+      render::RasterizeShadedTriangle(q[0], q[1], q[2], cmap, lo, hi, 1.0,
+                                      fb, stats);
+      render::RasterizeShadedTriangle(q[0], q[2], q[3], cmap, lo, hi, 1.0,
+                                      fb, stats);
+    }
+  }
+}
+
+bool SamePlanes(const Framebuffer& a, const Framebuffer& b) {
+  return std::memcmp(a.Color().data(), b.Color().data(), a.Color().Bytes()) ==
+             0 &&
+         std::memcmp(a.DepthPlane().data(), b.DepthPlane().data(),
+                     a.DepthPlane().Bytes()) == 0;
+}
+
+std::size_t CoveredPixels(const Framebuffer& fb) {
+  std::size_t covered = 0;
+  for (std::size_t p = 0; p < fb.DepthPlane().size(); ++p) {
+    covered += fb.DepthPlane().data()[p] < Framebuffer::kFarDepth ? 1 : 0;
+  }
+  return covered;
 }
 
 TEST(ColormapTest, EndpointsAndMidpoints) {
@@ -285,6 +432,132 @@ TEST(ScalarBarTest, DrawsGradientAndTicks) {
   // Top of the bar maps to hi (white), bottom to lo (black-ish).
   EXPECT_GT(fb.Pixel(x, top + 1).r, 200);
   EXPECT_LT(fb.Pixel(x, bottom - 2).r, 55);
+}
+
+
+TEST(RasterizerTest, SharedFacesPairDuplicatedInterfaceNodes) {
+  // 8 elements of 4x4x4 cells: 144 faces inside each element, and 3 planes
+  // of 8x8 faces between elements, whose nodes are duplicated.
+  const svtk::UnstructuredGrid grid = MakeSemGrid(2, 2, 2, 4, 1.0, 1.0, 1.0);
+  const render::SharedFaces shared(grid);
+  std::size_t paired = 0;
+  for (std::size_t cell = 0; cell < grid.NumCells(); ++cell) {
+    for (int f = 0; f < 6; ++f) {
+      const std::int64_t other = shared.Neighbor(cell, f);
+      if (other < 0) continue;
+      ++paired;
+      bool back = false;
+      for (int g = 0; g < 6; ++g) {
+        back = back || shared.Neighbor(static_cast<std::size_t>(other), g) ==
+                           static_cast<std::int64_t>(cell);
+      }
+      EXPECT_TRUE(back) << "cell " << cell << " face " << f;
+    }
+  }
+  EXPECT_EQ(paired, 2u * (8u * 144u + 3u * 64u));
+}
+
+TEST(RasterizerTest, CullingNeverChangesAPixel) {
+  const svtk::UnstructuredGrid cube = MakeSemGrid(2, 2, 2, 4, 1.0, 1.0, 1.0);
+  // The same grid after a blockfloat rate-8 round trip of its points, as an
+  // in transit endpoint receives it: interface nodes no longer coincide.
+  svtk::UnstructuredGrid lossy = MakeSemGrid(2, 2, 2, 4, 1.0, 1.0, 1.0);
+  {
+    const auto raw = std::as_bytes(lossy.Points());
+    const codec::Spec blockfloat{codec::Kind::kBlockFloat, 8, false};
+    const core::Buffer wire = codec::Encode(blockfloat, raw);
+    const core::Buffer back =
+        codec::Decode(codec::Kind::kBlockFloat, wire.bytes(), raw.size());
+    std::memcpy(lossy.Points().data(), back.data(), raw.size());
+  }
+  // A second grid beside the first, for two grids in one framebuffer.
+  svtk::UnstructuredGrid beside = MakeSemGrid(2, 2, 2, 4, 1.0, 1.0, 1.0);
+  for (std::size_t i = 0; i < beside.NumPoints(); ++i) {
+    beside.Points()[3 * i + 0] += 1.25;
+  }
+  // A long slab: a zoomed camera outside its bounds still has points
+  // behind it.
+  const svtk::UnstructuredGrid slab = MakeSemGrid(2, 2, 2, 4, 8.0, 1.0, 1.0);
+
+  RenderSpec point;
+  point.array = "f";
+  RenderSpec cell = point;
+  cell.array = "c";
+  cell.centering = svtk::Centering::kCell;
+  RenderSpec magnitude = point;
+  magnitude.array = "v";
+  magnitude.color_by_magnitude = true;
+  RenderSpec threshold = point;
+  threshold.threshold_min = 0.2;
+  threshold.threshold_max = 1.0;
+  RenderSpec cell_threshold = cell;
+  cell_threshold.threshold_max = 3.0;
+  RenderSpec slice = point;  // position set per grid below
+  slice.slice_axis = 0;
+  const std::vector<std::pair<std::string, RenderSpec>> specs = {
+      {"point", point},         {"cell", cell},
+      {"magnitude", magnitude}, {"threshold", threshold},
+      {"cell threshold", cell_threshold}, {"slice", slice}};
+
+  struct Case {
+    std::string name;
+    std::vector<const svtk::UnstructuredGrid*> grids;
+    std::array<double, 6> bounds;
+    double zoom;
+  };
+  const std::vector<Case> cases = {
+      {"cube", {&cube}, cube.Bounds(), 1.0},
+      {"blockfloat", {&lossy}, lossy.Bounds(), 1.0},
+      {"two grids", {&cube, &beside}, {0.0, 2.25, 0.0, 1.0, 0.0, 1.0}, 1.0},
+      {"zoom 8 inside", {&cube}, cube.Bounds(), 8.0},
+      {"slab zoom 8", {&slab}, slab.Bounds(), 8.0},
+  };
+  // Elevation-0 views along an axis put pixel centres exactly on projected
+  // edges, where the rasterizer's ties decide pixels.
+  const double views[][2] = {{35, 25}, {270, 0}, {90, 0},
+                             {250, 20}, {15, 45}, {120, -40}};
+  for (const Case& c : cases) {
+    for (auto [spec_name, spec] : specs) {
+      spec.slice_position = 0.4 * c.bounds[0] + 0.6 * c.bounds[1];
+      for (const auto& v : views) {
+        const Camera camera =
+            FitCamera(c.bounds, v[0], v[1], 4.0 / 3.0, c.zoom);
+        Framebuffer reference(320, 240, spec.background);
+        Framebuffer culled(320, 240, spec.background);
+        for (const svtk::UnstructuredGrid* grid : c.grids) {
+          RasterizeAllFaces(*grid, spec, camera, reference);
+          render::RasterizeGrid(*grid, spec, camera, culled);
+        }
+        const std::string where = c.name + ", " + spec_name + ", azimuth " +
+                                  std::to_string(v[0]) + ", elevation " +
+                                  std::to_string(v[1]);
+        EXPECT_GT(CoveredPixels(reference), 0u) << where;
+        EXPECT_TRUE(SamePlanes(reference, culled)) << where;
+      }
+    }
+  }
+}
+
+TEST(RasterizerTest, CullingBoundsOverdraw) {
+  // The in situ benchmark's block: 4x4x4 elements of order 4 per rank.
+  const svtk::UnstructuredGrid grid = MakeSemGrid(4, 4, 4, 4, 1.0, 1.0, 1.0);
+  RenderSpec spec;
+  spec.array = "f";
+  // Views whose cell order runs back to front, so drawing every face
+  // writes each pixel 11-17 times.
+  const double views[][2] = {{35, 25}, {10, 80}, {0, 0}};
+  for (const auto& v : views) {
+    const Camera camera = FitCamera(grid.Bounds(), v[0], v[1], 4.0 / 3.0);
+    Framebuffer fb(320, 240, spec.background);
+    const render::RasterStats stats =
+        render::RasterizeGrid(grid, spec, camera, fb);
+    const std::size_t covered = CoveredPixels(fb);
+    EXPECT_GT(covered, 10000u);
+    // Only the exposed layer, one cell deep, is drawn.
+    EXPECT_LE(static_cast<double>(stats.pixels_shaded),
+              4.0 * static_cast<double>(covered))
+        << "azimuth " << v[0] << ", elevation " << v[1];
+  }
 }
 
 }  // namespace
