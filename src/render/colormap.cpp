@@ -1,7 +1,6 @@
 #include "render/colormap.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <stdexcept>
 
@@ -24,7 +23,9 @@ Rgb Colormap::Sample(double t) const {
   auto mix = [&](int c) {
     const double v = points_[lo][static_cast<std::size_t>(c)] * (1.0 - f) +
                      points_[hi][static_cast<std::size_t>(c)] * f;
-    return static_cast<unsigned char>(std::lround(255.0 * std::clamp(v, 0.0, 1.0)));
+    const double x = 255.0 * std::clamp(v, 0.0, 1.0);
+    const auto r = static_cast<long>(x);  // half away from 0, as std::lround
+    return static_cast<unsigned char>(r + (x - static_cast<double>(r) >= 0.5));
   };
   out.r = mix(0);
   out.g = mix(1);

@@ -89,6 +89,31 @@ bool BackFacing(const ScreenVertex& a, const ScreenVertex& b,
   return (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y) > 0.0;
 }
 
+// The edge p -> q of a positively wound triangle, > 0 on the triangle's
+// side.  It is evaluated from its smaller endpoint (on x, then y) and
+// negated when it runs the other way, so triangles sharing it get exactly
+// opposite values.  On the edge, only a top or left edge (running right or
+// up the screen) owns the point: exactly one of the two triangles.
+struct Edge {
+  Edge(const ScreenVertex& p, const ScreenVertex& q)
+      : sign(p.x < q.x || (p.x == q.x && p.y < q.y) ? 1.0 : -1.0),
+        ox(sign > 0.0 ? p.x : q.x),
+        oy(sign > 0.0 ? p.y : q.y),
+        dx(sign * (q.x - p.x)),
+        dy(sign * (q.y - p.y)),
+        owns_ties(q.y < p.y || (q.y == p.y && q.x > p.x)) {}
+  [[nodiscard]] double At(double x, double y) const {
+    return sign * (dx * (y - oy) - dy * (x - ox));
+  }
+  // Whether a point is inside, given `e`, the edge's value there or a
+  // positive multiple of it.
+  [[nodiscard]] bool Covers(double e) const {
+    return e > 0.0 || (e == 0.0 && owns_ties);
+  }
+  double sign, ox, oy, dx, dy;
+  bool owns_ties;
+};
+
 }  // namespace
 
 SharedFaces::SharedFaces(const svtk::UnstructuredGrid& grid)
@@ -202,6 +227,10 @@ void RasterizeShadedTriangle(const ScreenVertex& a, const ScreenVertex& b,
   const double area =
       (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
   if (std::abs(area) < 1e-12) return;
+  if (area < 0.0) {  // wind positively: inside, every edge value is > 0
+    RasterizeShadedTriangle(a, c, b, cmap, lo, hi, shade, fb, stats);
+    return;
+  }
 
   const int min_x = std::max(0, static_cast<int>(std::floor(
                                     std::min({a.x, b.x, c.x}))));
@@ -213,18 +242,20 @@ void RasterizeShadedTriangle(const ScreenVertex& a, const ScreenVertex& b,
                                                   std::max({a.y, b.y, c.y}))));
   if (min_x > max_x || min_y > max_y) return;
 
+  // Each edge's value is the weight of the opposite vertex, times area.
+  const Edge bc(b, c);
+  const Edge ca(c, a);
+  const Edge ab(a, b);
   bool drew = false;
   const double inv_area = 1.0 / area;
   for (int y = min_y; y <= max_y; ++y) {
+    const double py = y + 0.5;
     for (int x = min_x; x <= max_x; ++x) {
       const double px = x + 0.5;
-      const double py = y + 0.5;
-      const double w0 = ((b.x - px) * (c.y - py) - (c.x - px) * (b.y - py)) *
-                        inv_area;
-      const double w1 = ((c.x - px) * (a.y - py) - (a.x - px) * (c.y - py)) *
-                        inv_area;
-      const double w2 = 1.0 - w0 - w1;
-      if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0) continue;
+      const double w0 = bc.At(px, py) * inv_area;
+      const double w1 = ca.At(px, py) * inv_area;
+      const double w2 = ab.At(px, py) * inv_area;
+      if (!bc.Covers(w0) || !ca.Covers(w1) || !ab.Covers(w2)) continue;
       const double depth = w0 * a.depth + w1 * b.depth + w2 * c.depth;
       if (depth <= 0.0) continue;
       const auto fdepth = static_cast<float>(depth);
@@ -357,36 +388,11 @@ RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
   }
 
   // Cull only when every point lies in front of the camera, which also
-  // keeps the camera outside every cell.
+  // keeps the camera outside every cell.  Then only the front-facing
+  // triangles of faces no other drawn cell shares are drawn.
   const bool cull = all_visible && np > 0;
   std::optional<SharedFaces> own;
   if (cull && shared == nullptr) shared = &own.emplace(grid);
-  auto drawn_neighbor = [&](std::size_t cell, int f) -> std::int64_t {
-    const std::int64_t other = shared->Neighbor(cell, f);
-    return other >= 0 && drawn[static_cast<std::size_t>(other)] ? other : -1;
-  };
-  auto corner = [&](const std::array<std::int64_t, 8>& nodes, int f, int k) {
-    return projected[static_cast<std::size_t>(nodes[kHexFaces[f][k]])];
-  };
-
-  // A drawn cell is exposed when a face of it that no drawn cell shares
-  // turns a triangle toward the camera.
-  std::vector<char> exposed;
-  if (cull) {
-    exposed.assign(nc, 0);
-    for (std::size_t cell = 0; cell < nc; ++cell) {
-      if (!drawn[cell]) continue;
-      const auto nodes = grid.GetCell(cell);
-      for (int f = 0; f < 6 && !exposed[cell]; ++f) {
-        exposed[cell] =
-            drawn_neighbor(cell, f) < 0 &&
-            !(BackFacing(corner(nodes, f, 0), corner(nodes, f, 1),
-                         corner(nodes, f, 2)) &&
-              BackFacing(corner(nodes, f, 0), corner(nodes, f, 2),
-                         corner(nodes, f, 3)));
-      }
-    }
-  }
 
   for (std::size_t cell = 0; cell < nc; ++cell) {
     if (!drawn[cell]) continue;
@@ -397,23 +403,26 @@ RasterStats RasterizeGrid(const svtk::UnstructuredGrid& grid,
     const auto nodes = grid.GetCell(cell);
     bool drew_cell = false;
     for (int f = 0; f < 6; ++f) {
-      // Draw every face of an exposed cell and every face shared with one.
-      if (cull && !exposed[cell]) {
-        const std::int64_t other = drawn_neighbor(cell, f);
-        if (other < 0 || !exposed[static_cast<std::size_t>(other)]) continue;
+      if (cull) {
+        const std::int64_t other = shared->Neighbor(cell, f);
+        if (other >= 0 && drawn[static_cast<std::size_t>(other)]) continue;
       }
       ScreenVertex corners[4];
       for (int k = 0; k < 4; ++k) {
-        corners[k] = corner(nodes, f, k);
+        corners[k] =
+            projected[static_cast<std::size_t>(nodes[kHexFaces[f][k]])];
         if (spec.centering == svtk::Centering::kCell) {
           corners[k].scalar = cell_scalar;
         }
       }
       const std::size_t before = stats.triangles_drawn;
-      RasterizeShadedTriangle(corners[0], corners[1], corners[2], cmap, lo,
-                              hi, 1.0, fb, stats);
-      RasterizeShadedTriangle(corners[0], corners[2], corners[3], cmap, lo,
-                              hi, 1.0, fb, stats);
+      for (int t = 1; t <= 2; ++t) {
+        if (cull && BackFacing(corners[0], corners[t], corners[t + 1])) {
+          continue;
+        }
+        RasterizeShadedTriangle(corners[0], corners[t], corners[t + 1], cmap,
+                                lo, hi, 1.0, fb, stats);
+      }
       drew_cell = drew_cell || stats.triangles_drawn != before;
     }
     if (drew_cell) ++stats.cells_drawn;

@@ -9,32 +9,19 @@
 // blocks; the compositor then merges framebuffers across ranks by depth
 // (direct-send compositing).
 //
-// Like ParaView's surface representation, RasterizeGrid skips faces that
-// cannot reach the framebuffer, keeping its colour and depth planes equal,
-// bit for bit, to drawing all six faces of every drawn cell (a cell that
-// passes the view's slice/threshold filter):
-//   - Two faces are shared when their four corner points have bit-identical
-//     coordinates, so the duplicated nodes at element interfaces match, and
-//     run around the same edges in opposite directions.  A face that no
-//     other drawn cell shares is on the surface.
-//   - A drawn cell is exposed when one of its surface faces turns a
-//     triangle toward the camera.  Every face of an exposed cell is drawn,
-//     and so is every face that another cell shares with an exposed cell.
-//     The rest are skipped: faces between two unexposed cells, and the
-//     surface faces of unexposed cells, which all face away.
-//   - Nothing is skipped unless every grid point lies in front of the
-//     camera.  That keeps the camera outside every cell (a zoomed camera
-//     can sit inside the domain) and every triangle whole.
-// A ray from the camera enters the drawn cells through a front surface face
-// of an exposed cell, so whatever lies deeper than that cell's faces is
-// hidden.  The whole exposed layer is kept, not just the front surface,
-// because the rasterizer settles ties itself: a pixel centre exactly on an
-// edge can be missed by the triangles on both sides, and faces that meet at
-// an edge reach equal float depths near it, where the first drawn wins.  In
-// both cases the next face behind decides the pixel, and the layer keeps
-// it.  Only two such ties lined up on one pixel could reach past the layer
-// (DESIGN.md §3e).  The cull assumes cells wound like VTK hexahedra, every
-// face turning outward.
+// Like ParaView's surface representation, RasterizeGrid draws only the
+// front surface: the front-facing triangles of faces no other drawn cell
+// (one that passes the view's slice/threshold filter) shares.  Two faces
+// are shared when their four corner points have bit-identical coordinates,
+// so the duplicated nodes at element interfaces match, and run around the
+// same edges in opposite directions.  The first face a ray from the camera
+// crosses is such a face, so the colour and depth planes equal drawing
+// every face of every drawn cell, except where two faces reach exactly the
+// same float depth at a pixel and the first drawn wins.  Nothing is culled
+// unless every grid point lies in front of the camera, which keeps the
+// camera outside every cell (a zoomed camera can sit inside the domain)
+// and every triangle whole.  The cull assumes cells wound like VTK
+// hexahedra, every face turning outward.
 #pragma once
 
 #include <cstdint>
@@ -123,9 +110,11 @@ struct ScreenVertex {
 ScreenVertex ProjectPoint(const Mat4& vp, const Mat4& view, const Vec3& world,
                           int width, int height);
 
-/// Rasterize one triangle with barycentric scalar interpolation; `shade`
-/// multiplies the mapped color (1 = unshaded; isosurfaces pass a Lambert
-/// factor).
+/// Rasterize one triangle, either winding, with barycentric scalar
+/// interpolation; `shade` multiplies the mapped color (1 = unshaded;
+/// isosurfaces pass a Lambert factor).  Watertight: a pixel centre on an
+/// edge two triangles share belongs to exactly one of them (top-left
+/// rule, DESIGN.md §3e).
 void RasterizeShadedTriangle(const ScreenVertex& a, const ScreenVertex& b,
                              const ScreenVertex& c, const Colormap& cmap,
                              double lo, double hi, double shade,
