@@ -84,9 +84,9 @@ struct StepPayload {
 };
 
 /// Writer-side staging for one step: each variable is a scatter-gather
-/// chain (e.g. svtk::SerializeChain output) that is never flattened before
-/// the wire.  `codecs` selects a per-variable codec; absent entries ship
-/// identity (zero-copy).
+/// chain (e.g. one plane staged by sensei::StageGridTo) that is never
+/// flattened before the wire.  `codecs` selects a per-variable codec;
+/// absent entries ship identity (zero-copy).
 struct StepChain {
   int step = -1;
   int writer_rank = -1;

@@ -61,8 +61,9 @@ class SstWriter {
   /// Zero-copy Put: stage a view of an owned data-plane buffer.  No bytes
   /// move until EndStep's transport pack.
   void PutBuffer(const std::string& name, core::Buffer data);
-  /// Zero-copy Put of a scatter-gather chain (e.g. svtk::SerializeChain
-  /// output); the segments ride to the wire without being flattened here.
+  /// Zero-copy Put of a scatter-gather chain (e.g. one plane staged by
+  /// sensei::StageGridTo); the segments ride to the wire without being
+  /// flattened here.
   /// A non-identity `spec` routes the variable through codec::Encode at
   /// EndStep (on this writer's owning thread — the async worker in async
   /// pipeline mode).

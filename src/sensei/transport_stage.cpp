@@ -9,9 +9,7 @@ namespace sensei {
 
 namespace {
 
-/// Leading magic of a split-staged skeleton.  Distinct from the legacy
-/// single-blob grid magic (svtk/serialize.cpp), which ReassembleGrid keys
-/// its fallback on.
+/// Leading magic of a split-staged skeleton.
 constexpr std::uint64_t kGridSkeletonMagic = 0x53564B534B454CULL;  // "SVKSKEL"
 
 core::BufferChain ViewChain(const core::Buffer& storage) {
@@ -99,21 +97,13 @@ void StageGridTo(const StagePut& put, const svtk::UnstructuredGrid& grid,
 
 svtk::UnstructuredGrid ReassembleGrid(const adios::StepPayload& payload) {
   const core::Buffer& mesh_var = RequireVariable(payload, "mesh");
-  if (mesh_var.size() >= sizeof(std::uint64_t)) {
-    std::uint64_t magic = 0;
-    std::memcpy(&magic, mesh_var.data(), sizeof(magic));
-    if (magic != kGridSkeletonMagic) {
-      // Legacy single-blob payload (old writers, restart files): the whole
-      // grid lives in "mesh" and svtk::Deserialize validates its own magic.
-      return svtk::Deserialize(mesh_var.bytes());
-    }
-  } else {
-    throw std::runtime_error(
-        "sensei: staged variable 'mesh' too small to hold a grid skeleton");
-  }
-
   svtk::ByteReader r(mesh_var.bytes());
-  (void)r.U64();  // magic, already checked
+  if (mesh_var.size() < sizeof(std::uint64_t) ||
+      r.U64() != kGridSkeletonMagic) {
+    throw std::runtime_error(
+        "sensei: staged variable 'mesh' does not hold a grid skeleton "
+        "(too short, or foreign magic)");
+  }
   const std::uint64_t np = r.U64();
   const std::uint64_t nc = r.U64();
   svtk::UnstructuredGrid grid(np, nc);

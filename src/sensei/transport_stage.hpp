@@ -1,9 +1,7 @@
 // Split grid staging for the transport boundary.
 //
-// svtk::SerializeChain packs an entire grid into ONE marshal variable,
-// which leaves the codec plane nothing to select on.  This layer stages the
-// same grid as a family of variables so each plane can carry its own codec
-// tag in the BP-like header:
+// A grid is staged as a family of marshal variables rather than one blob,
+// so each plane can carry its own codec tag in the BP-like header:
 //
 //   "mesh"            the skeleton: counts plus array names/components
 //                     (tiny, always identity)
@@ -13,10 +11,8 @@
 //   "mesh.ca.<name>"  one variable per cell-centered data array
 //
 // Every bulk variable is a single zero-copy view of the grid's own storage,
-// so the identity path costs exactly what the old single-blob path did.
-// ReassembleGrid inverts the staging on the endpoint; payloads that carry a
-// legacy single-blob "mesh" (old writers, restart files) fall back to
-// svtk::Deserialize, keyed on the leading magic.
+// so the identity path copies no bulk byte before the transport pack.
+// ReassembleGrid inverts the staging on the endpoint.
 #pragma once
 
 #include <functional>
@@ -72,8 +68,7 @@ void StageGrid(Writer& writer, const svtk::UnstructuredGrid& grid,
 }
 
 /// Rebuild a grid from one writer's unmarshaled payload (the inverse of
-/// StageGridTo; decoding already happened in the unmarshal layer).  Falls
-/// back to svtk::Deserialize when "mesh" holds a legacy single-blob grid.
+/// StageGridTo; decoding already happened in the unmarshal layer).
 /// Throws std::runtime_error naming the missing or mismatched variable on
 /// malformed payloads.
 [[nodiscard]] svtk::UnstructuredGrid ReassembleGrid(

@@ -5,10 +5,6 @@
 
 namespace svtk {
 
-namespace {
-constexpr std::uint64_t kMagic = 0x53564B474249444ULL;  // "SVKGBID"-ish tag
-}  // namespace
-
 void ByteWriter::Raw(const void* data, std::size_t bytes) {
   const std::size_t old = buf_.size();
   buf_.resize(old + bytes);
@@ -27,12 +23,6 @@ std::int32_t ByteReader::I32() {
   return v;
 }
 
-double ByteReader::F64() {
-  double v = 0;
-  Raw(&v, sizeof(v));
-  return v;
-}
-
 std::string ByteReader::Str() {
   const std::uint64_t n = U64();
   std::string s(n, '\0');
@@ -46,95 +36,6 @@ void ByteReader::Raw(void* out, std::size_t bytes) {
   }
   if (bytes) std::memcpy(out, bytes_.data() + pos_, bytes);
   pos_ += bytes;
-}
-
-core::BufferChain SerializeChain(const UnstructuredGrid& grid) {
-  core::BufferChain chain;
-  ByteWriter header;
-
-  // Flush the accumulated header bytes as one owned segment (zero-copy
-  // vector takeover), then append a zero-copy view of bulk storage.
-  auto flush_header = [&] {
-    if (header.Buffer().empty()) return;
-    chain.Append(core::Buffer::TakeVector("serialize", header.Take()));
-  };
-  auto append_bulk = [&](const core::Buffer& storage, std::size_t values) {
-    header.U64(values);
-    flush_header();
-    chain.Append(core::BufferView(storage));
-  };
-
-  header.U64(kMagic);
-  header.U64(grid.NumPoints());
-  header.U64(grid.NumCells());
-  append_bulk(grid.PointsStorage(), grid.Points().size());
-  append_bulk(grid.ConnectivityStorage(), grid.Connectivity().size());
-
-  auto write_arrays = [&](const std::vector<std::string>& names,
-                          bool point_data) {
-    header.U64(names.size());
-    for (const std::string& name : names) {
-      const DataArray* array = point_data ? grid.PointArray(name)
-                                          : grid.CellArray(name);
-      header.Str(name);
-      header.I32(array->Components());
-      append_bulk(array->Storage(), array->Values());
-    }
-  };
-  write_arrays(grid.PointArrayNames(), /*point_data=*/true);
-  write_arrays(grid.CellArrayNames(), /*point_data=*/false);
-  flush_header();
-  return chain;
-}
-
-std::vector<std::byte> Serialize(const UnstructuredGrid& grid) {
-  const core::BufferChain chain = SerializeChain(grid);
-  std::vector<std::byte> out(chain.TotalBytes());
-  chain.PackInto(out);
-  return out;
-}
-
-UnstructuredGrid Deserialize(std::span<const std::byte> bytes) {
-  ByteReader r(bytes);
-  if (r.U64() != kMagic) {
-    throw std::runtime_error("svtk: bad magic in serialized grid");
-  }
-  const std::uint64_t np = r.U64();
-  const std::uint64_t nc = r.U64();
-  UnstructuredGrid grid(np, nc);
-
-  std::vector<double> points = r.Vec<double>();
-  if (points.size() != 3 * np) {
-    throw std::runtime_error("svtk: serialized point count mismatch");
-  }
-  std::memcpy(grid.Points().data(), points.data(),
-              points.size() * sizeof(double));
-
-  std::vector<std::int64_t> conn = r.Vec<std::int64_t>();
-  if (conn.size() != 8 * nc) {
-    throw std::runtime_error("svtk: serialized connectivity mismatch");
-  }
-  std::memcpy(grid.Connectivity().data(), conn.data(),
-              conn.size() * sizeof(std::int64_t));
-
-  auto read_arrays = [&](bool point_data) {
-    const std::uint64_t count = r.U64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::string name = r.Str();
-      const int comps = r.I32();
-      std::vector<double> values = r.Vec<double>();
-      DataArray& target = point_data ? grid.AddPointArray(name, comps)
-                                     : grid.AddCellArray(name, comps);
-      if (values.size() != target.Values()) {
-        throw std::runtime_error("svtk: serialized array mismatch: " + name);
-      }
-      std::memcpy(target.Data().data(), values.data(),
-                  values.size() * sizeof(double));
-    }
-  };
-  read_arrays(/*point_data=*/true);
-  read_arrays(/*point_data=*/false);
-  return grid;
 }
 
 }  // namespace svtk

@@ -1,53 +1,29 @@
-// Compact binary serialization of svtk grids.
+// Little-endian byte primitives for small binary headers.
 //
-// This is the "BP marshaling" payload format used by the adios module's SST
-// engine (DESIGN.md E4): sim ranks serialize their local block, ship the
-// bytes to an endpoint rank, and the endpoint reconstructs the grid.  Also
-// reused for binary restart files.
+// sensei::StageGridTo writes the grid skeleton (counts plus array names and
+// components) with ByteWriter, and sensei::ReassembleGrid reads it back with
+// ByteReader; the bulk planes travel as their own marshal variables.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "core/buffer.hpp"
-#include "svtk/unstructured_grid.hpp"
-
 namespace svtk {
-
-/// Scatter-gather serialization: small owned header segments interleaved
-/// with zero-copy views into the grid's own storage (points, connectivity,
-/// array values).  No bulk byte is copied here — the single contiguous pack
-/// happens at the transport boundary (BufferChain::Pack / Comm::SendGather).
-/// The views share the grid's buffers, so they stay valid independently of
-/// the grid's lifetime.
-core::BufferChain SerializeChain(const UnstructuredGrid& grid);
-
-/// Serialize a grid (points, connectivity, all arrays) into a byte buffer.
-/// Value-semantics wrapper over SerializeChain (performs the one pack copy).
-std::vector<std::byte> Serialize(const UnstructuredGrid& grid);
-
-/// Inverse of Serialize. Throws std::runtime_error on malformed input.
-UnstructuredGrid Deserialize(std::span<const std::byte> bytes);
 
 /// A low-level growable byte writer with little-endian primitives.
 class ByteWriter {
  public:
   void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
   void I32(std::int32_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
   void Str(const std::string& s) {
     U64(s.size());
     Raw(s.data(), s.size());
   }
-  template <typename T>
-  void Span(std::span<const T> values) {
-    U64(values.size());
-    Raw(values.data(), values.size_bytes());
-  }
   void Raw(const void* data, std::size_t bytes);
 
-  [[nodiscard]] const std::vector<std::byte>& Buffer() const { return buf_; }
   std::vector<std::byte> Take() { return std::move(buf_); }
 
  private:
@@ -61,15 +37,7 @@ class ByteReader {
 
   std::uint64_t U64();
   std::int32_t I32();
-  double F64();
   std::string Str();
-  template <typename T>
-  std::vector<T> Vec() {
-    const std::uint64_t n = U64();
-    std::vector<T> out(n);
-    Raw(out.data(), n * sizeof(T));
-    return out;
-  }
   void Raw(void* out, std::size_t bytes);
 
   [[nodiscard]] bool AtEnd() const { return pos_ == bytes_.size(); }

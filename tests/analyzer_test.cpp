@@ -1,8 +1,8 @@
-// Unit tests for the nsm_analyze lexer and extractor (tools/nsm_analyze).
-// The end-to-end behavior of the four checks is covered by the fixture
-// ctests (tools/lint_fixtures/analyze/); these tests pin the parts a
-// fixture cannot isolate: exact token streams for the lexer edge cases and
-// the extractor's event/scope model.
+// Unit tests for the nsm_analyze lexer, extractor and checks
+// (tools/nsm_analyze).  The end-to-end behavior of each check is covered by
+// the fixture ctests (tools/lint_fixtures/); these tests pin the parts a
+// fixture cannot isolate: exact token streams for the lexer edge cases, the
+// extractor's event/scope model, and the edges of the token-level rules.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -270,7 +270,92 @@ TEST(ModelTest, RankedDeclExtraction) {
   EXPECT_TRUE(model.ranked_decls[1].spec_constant.empty());
 }
 
+// ---- token-level hygiene rules ---------------------------------------------
+
+std::vector<nsm_analyze::Finding> Hygiene(const std::string& source) {
+  nsm_analyze::Analysis analysis({Extract(source)}, nsm_analyze::Config{});
+  std::vector<nsm_analyze::Finding> findings;
+  analysis.CheckHygiene(true, true, true, &findings);
+  return findings;
+}
+
+TEST(HygieneTest, DeletedFunctionIsNotRawDelete) {
+  const auto findings = Hygiene(
+      "struct NoCopy {\n"
+      "  NoCopy(const NoCopy&) = delete;\n"
+      "  NoCopy& operator=(const NoCopy&) = delete;\n"
+      "  static void* operator new(std::size_t) = delete;\n"
+      "};\n"
+      "void F() {\n"
+      "  int* p = new int;\n"
+      "  delete p;\n"
+      "}\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].rule, "raw-new");
+  EXPECT_EQ(findings[0].line, 7);
+  EXPECT_EQ(findings[1].rule, "raw-new");
+  EXPECT_EQ(findings[1].line, 8);
+}
+
+TEST(HygieneTest, IncludesInCommentsAndRawStringsAreIgnored) {
+  const std::string source =
+      "#include <vector>\n"
+      "// #include <mutex>\n"
+      "/* #include <thread>\n"
+      "#include <thread> */\n"
+      "auto s = R\"(\n"
+      "#include <mutex>\n"
+      ")\";\n"
+      "#  include \"core/buffer.hpp\"\n";
+  const FileModel model = Extract(source);
+  ASSERT_EQ(model.includes.size(), 2u);
+  EXPECT_EQ(model.includes[0].header, "vector");
+  EXPECT_EQ(model.includes[0].line, 1);
+  EXPECT_EQ(model.includes[1].header, "core/buffer.hpp");
+  EXPECT_EQ(model.includes[1].line, 8);
+  EXPECT_TRUE(Hygiene(source).empty());
+}
+
+TEST(HygieneTest, DuplicateAndUnusedConcurrencyHeaders) {
+  const auto findings = Hygiene(
+      "#include <mutex>\n"
+      "#include <thread>\n"
+      "#include <mutex>\n"
+      "std::unique_lock<std::timed_mutex> Lock();\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 2);  // <thread>: no std::thread vocabulary
+  EXPECT_NE(findings[0].message.find("<thread>"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 3);  // the duplicate; <mutex> itself is used
+  EXPECT_NE(findings[1].message.find("first at line 1"), std::string::npos);
+}
+
+TEST(HygieneTest, JsonOfstreamSplitAcrossLinesIsFlagged) {
+  const auto findings = Hygiene(
+      "void Write(const std::string& dir) {\n"
+      "  std::ofstream out(dir +\n"
+      "                    \"/metrics.json\");\n"
+      "  std::ofstream log(dir + \"/run.log\");  // not json\n"
+      "}\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "json-atomic-write");
+  EXPECT_EQ(findings[0].line, 2);
+}
+
 // ---- small check helpers ---------------------------------------------------
+
+TEST(ChecksTest, MissingMutexDeclarationCarriesAcquisitionSite) {
+  nsm_analyze::Analysis analysis({Extract("void F(State& s) {\n"
+                                          "  Prepare();\n"
+                                          "  core::MutexLock lock(s.mutex);\n"
+                                          "}\n")},
+                                 nsm_analyze::Config{});
+  std::vector<nsm_analyze::Finding> findings;
+  analysis.CheckLockRanks(nullptr, &findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "lock-rank");
+  EXPECT_EQ(findings[0].file, "src/demo/demo.cpp");
+  EXPECT_EQ(findings[0].line, 3);
+}
 
 TEST(ChecksTest, RankConstantName) {
   EXPECT_EQ(nsm_analyze::RankConstantName("mpimini/comm::mutex"),

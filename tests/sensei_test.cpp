@@ -583,18 +583,26 @@ TEST(TransportStageTest, BlockfloatOnConnectivityThrowsAtStageTime) {
       std::invalid_argument);
 }
 
-TEST(TransportStageTest, LegacySingleBlobPayloadStillReassembles) {
-  // Old writers (and restart files) ship the whole grid as one "mesh" blob;
-  // ReassembleGrid must keep reading them, keyed on the svtk magic.
-  const svtk::UnstructuredGrid grid = MakeStagedCube();
+TEST(TransportStageTest, ForeignMeshMagicIsRejectedNamingMesh) {
+  // A "mesh" variable that is not a grid skeleton (here: a foreign magic
+  // followed by plausible counts) must be rejected before any count is
+  // trusted, with an error that names the variable.
   adios::StepChain staged;
-  staged.step = 0;
-  staged.writer_rank = 0;
-  staged.variables["mesh"] = svtk::SerializeChain(grid);
+  svtk::ByteWriter foreign;
+  foreign.U64(0x0123456789ABCDEFULL);
+  foreign.U64(8);
+  foreign.U64(1);
+  staged.variables["mesh"] = core::BufferChain(core::BufferView(
+      core::Buffer::TakeVector("test", foreign.Take())));
   core::Buffer packed = adios::MarshalChain(staged).Pack("test");
   const adios::StepPayload payload = adios::UnmarshalStep(packed.bytes());
-  const svtk::UnstructuredGrid back = sensei::ReassembleGrid(payload);
-  ExpectGridsMatch(grid, back, 0.0);
+  try {
+    (void)sensei::ReassembleGrid(payload);
+    FAIL() << "reassembled a payload whose mesh has a foreign magic";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'mesh'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TransportStageTest, MissingPlaneThrowsDescriptively) {

@@ -273,49 +273,19 @@ TEST(VtuFormatTest, ReadRejectsNonVtu) {
   EXPECT_THROW(svtk::ReadVtu(path), std::runtime_error);
 }
 
-TEST(SerializeTest, RoundTripsGrid) {
-  UnstructuredGrid grid = MakeUnitCubeGrid();
-  std::vector<std::byte> bytes = svtk::Serialize(grid);
-  UnstructuredGrid back = svtk::Deserialize(bytes);
-  EXPECT_EQ(back.NumPoints(), grid.NumPoints());
-  EXPECT_EQ(back.NumCells(), grid.NumCells());
-  EXPECT_EQ(back.GetCell(0), grid.GetCell(0));
-  ASSERT_NE(back.PointArray("velocity"), nullptr);
-  EXPECT_DOUBLE_EQ(back.PointArray("velocity")->At(3, 1), 2.0);
-  ASSERT_NE(back.CellArray("rank"), nullptr);
-}
-
-TEST(SerializeTest, DetectsCorruptMagic) {
-  UnstructuredGrid grid = MakeUnitCubeGrid();
-  std::vector<std::byte> bytes = svtk::Serialize(grid);
-  bytes[0] = std::byte{0xFF};
-  EXPECT_THROW(svtk::Deserialize(bytes), std::runtime_error);
-}
-
-TEST(SerializeTest, DetectsTruncation) {
-  UnstructuredGrid grid = MakeUnitCubeGrid();
-  std::vector<std::byte> bytes = svtk::Serialize(grid);
-  bytes.resize(bytes.size() / 2);
-  EXPECT_THROW(svtk::Deserialize(bytes), std::runtime_error);
-}
-
 TEST(SerializeTest, ByteWriterReaderPrimitives) {
   svtk::ByteWriter w;
   w.U64(77);
   w.I32(-5);
-  w.F64(2.5);
   w.Str("hello");
-  std::vector<double> values{1.0, 2.0, 3.0};
-  w.Span<double>(values);
   std::vector<std::byte> buf = w.Take();
 
   svtk::ByteReader r(buf);
   EXPECT_EQ(r.U64(), 77u);
   EXPECT_EQ(r.I32(), -5);
-  EXPECT_DOUBLE_EQ(r.F64(), 2.5);
   EXPECT_EQ(r.Str(), "hello");
-  EXPECT_EQ(r.Vec<double>(), values);
   EXPECT_TRUE(r.AtEnd());
+  EXPECT_THROW(r.I32(), std::runtime_error);  // reading past the end
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Seeded cross-scope blocking-under-lock for the nsm_analyze
-// `blocking-under-lock` check — an exact reproduction of the regex lint's
-// known false negative: the blocking mpimini call sits in a helper, so no
-// single brace scope contains both the guard and the call, and the
-// line-oriented lint passes this file clean (asserted by the
-// nsm_lint_cross_scope_negative ctest).  The analyzer must fail it
-// (inverted nsm_analyze_cross_scope_fixture ctest).  Analyzer input only.
+// `blocking-under-lock` check: the blocking mpimini call sits in a helper,
+// so no single brace scope contains both the guard and the call, and a
+// line-oriented same-scope check would pass this file clean.  The analyzer
+// must fail it (inverted nsm_analyze_cross_scope_fixture ctest).  Analyzer
+// input only.
 #include "core/thread_annotations.hpp"
 #include "mpimini/comm.hpp"
 

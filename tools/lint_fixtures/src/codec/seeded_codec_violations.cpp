@@ -1,7 +1,7 @@
 // Seeded codec-prefix violations: this file lives under a src/codec/ path
 // on purpose, so the codec-prefix rule must fire on every span/metric below
 // that lacks the "codec." prefix.  tests/CMakeLists.txt registers a
-// WILL_FAIL ctest invocation over this file; if the linter ever stops
+// WILL_FAIL ctest invocation over this file; if the analyzer ever stops
 // flagging it, that test fails and the rule is known to be broken.
 //
 // Expected findings:

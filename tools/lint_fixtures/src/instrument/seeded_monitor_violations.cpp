@@ -2,7 +2,7 @@
 // path with "monitor" in its name on purpose, so the monitor-prefix rule
 // must fire on every span/metric below that lacks the "monitor." or
 // "flightrec." prefix.  tests/CMakeLists.txt registers a WILL_FAIL ctest
-// invocation over this file; if the linter ever stops flagging it, that
+// invocation over this file; if the analyzer ever stops flagging it, that
 // test fails and the rule is known to be broken.
 //
 // Expected findings:

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 
 namespace nsm_analyze {
@@ -161,6 +162,7 @@ void Analysis::BuildGraph() {
           case EventKind::kGuardAcquire: {
             locks.insert(e.name);
             if (e.core_guard) core_locks.insert(e.name);
+            first_acquire_.emplace(e.name, std::make_pair(fm.file, e.line));
             for (const Live& held : live) {
               if (held.lock == e.name) continue;
               edge_witness.emplace(
@@ -221,7 +223,7 @@ void Analysis::BuildGraph() {
                     std::to_string(live.back().line) + ") across a call to " +
                     callee->qualified + ", which reaches blocking `" +
                     b.name + "` at " + Location(callee->file, b.line) +
-                    " (cross-scope: invisible to the regex lint)";
+                    " (cross-scope)";
                 blocking_findings_.push_back(std::move(fi));
               }
             }
@@ -436,7 +438,7 @@ void Analysis::CheckRegistry(const std::string* registry_text,
       findings->push_back(std::move(fi));
       continue;
     }
-    // Per-directory prefix rules (shared with nsm_lint via nsm_rules.cfg).
+    // Per-directory prefix rules (nsm_rules.cfg `prefix` directives).
     for (const std::string& file : info.files) {
       const std::string base = Basename(file);
       for (const PrefixRule& rule : config_.prefix_rules) {
@@ -678,6 +680,7 @@ void Analysis::CheckLockRanks(const std::string* committed_ranks,
     }
     if (matches.empty()) {
       Finding fi;
+      std::tie(fi.file, fi.line) = first_acquire_.at(lock);
       fi.rule = "lock-rank";
       fi.message = "no core::Mutex declaration found for acquired lock `" +
                    lock + "` (member `" + member +
@@ -718,6 +721,80 @@ void Analysis::CheckLockRanks(const std::string* committed_ranks,
                    d->spec_constant + "` but its lock id `" + lock +
                    "` maps to `" + expected + "`";
       findings->push_back(std::move(fi));
+    }
+  }
+}
+
+// ---- token-level hygiene rules ----------------------------------------------
+
+namespace {
+
+/// Headers that should only appear where their vocabulary is used: a file
+/// including the key must name `std::<p>...` for one of the prefixes.
+const std::map<std::string, std::vector<std::string>>& HeaderUse() {
+  static const std::map<std::string, std::vector<std::string>> kUse = {
+      {"mutex",
+       {"mutex", "lock_guard", "unique_lock", "scoped_lock", "timed_mutex",
+        "recursive_mutex", "call_once", "once_flag"}},
+      {"condition_variable", {"condition_variable"}},
+      {"atomic", {"atomic", "memory_order"}},
+      {"thread", {"thread", "this_thread"}},
+      {"deque", {"deque"}}};
+  return kUse;
+}
+
+bool UsesVocabulary(const FileModel& fm,
+                    const std::vector<std::string>& prefixes) {
+  for (const std::string& name : fm.std_names) {
+    for (const std::string& prefix : prefixes) {
+      if (name.rfind(prefix, 0) == 0) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+void Analysis::CheckHygiene(bool raw_new, bool json_write,
+                            bool include_hygiene,
+                            std::vector<Finding>* findings) {
+  for (const FileModel& fm : files_) {
+    if (include_hygiene) {
+      std::map<std::string, int> seen;
+      for (const Include& inc : fm.includes) {
+        const auto [first, fresh] = seen.emplace(inc.header, inc.line);
+        if (!fresh) {
+          findings->push_back(
+              {fm.file, inc.line, "include-hygiene",
+               "duplicate include of <" + inc.header + "> (first at line " +
+                   std::to_string(first->second) + ")"});
+        }
+        const auto use = HeaderUse().find(inc.header);
+        if (use != HeaderUse().end() && !UsesVocabulary(fm, use->second)) {
+          findings->push_back(
+              {fm.file, inc.line, "include-hygiene",
+               "<" + inc.header + "> included but none of its types are used"});
+        }
+      }
+    }
+    if (raw_new && config_.raw_new_allowed.count(fm.file) == 0) {
+      for (const RawAlloc& alloc : fm.raw_allocs) {
+        findings->push_back(
+            {fm.file, alloc.line, "raw-new",
+             alloc.is_delete
+                 ? "raw `delete`: ownership belongs to core::Buffer / smart "
+                   "pointers (only src/core/buffer.cpp may)"
+                 : "raw `new`: allocate through core::Buffer / standard "
+                   "containers (only src/core/buffer.cpp may)"});
+      }
+    }
+    if (json_write) {
+      for (int line : fm.json_ofstream_lines) {
+        findings->push_back({fm.file, line, "json-atomic-write",
+                             "JSON artifacts must go through "
+                             "instrument::AtomicFile (temp + rename), not a "
+                             "plain ofstream"});
+      }
     }
   }
 }

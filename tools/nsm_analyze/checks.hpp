@@ -1,24 +1,32 @@
-// The four analyzer checks over the extracted file models, plus the
-// generators for the artifacts the checks gate against:
+// The analyzer checks over the extracted file models, plus the generators
+// for the artifacts the checks gate against:
 //
 //   lock-order             global acquired-before graph from per-function
 //                          guard scopes + one-level callee propagation;
 //                          fails on cycles, printing every edge's witness
 //   blocking-under-lock    blocking mpimini call / condvar wait reachable
 //                          while any guard is live, including guards held
-//                          in callers (the regex lint's false negative)
+//                          in callers
 //   collective-divergence  collective called on one branch of a
 //                          rank-conditional without a match on the other
 //   registry               span/metric taxonomy + prefix rules + the
 //                          docs/REGISTRY.md membership gate
 //   lock-rank              generated src/core/lock_ranks.hpp is current,
 //                          every core::Mutex carries the right spec
+//   raw-new                new/delete expressions outside the files the
+//                          config allowlists (core::Buffer owns allocation)
+//   json-atomic-write      an ofstream statement naming json: JSON artifacts
+//                          go through instrument::AtomicFile (temp + rename)
+//   include-hygiene        duplicate includes, and concurrency headers whose
+//                          std:: vocabulary the file never uses
 //
 // Generators: REGISTRY.md, lock_ranks.hpp, and the DOT acquired-before
 // graph CI uploads as an artifact.
 #pragma once
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config.hpp"
@@ -61,6 +69,10 @@ class Analysis {
   void CheckLockRanks(const std::string* committed_ranks,
                       std::vector<Finding>* findings);
 
+  /// The token-level rules: raw-new, json-atomic-write, include-hygiene.
+  void CheckHygiene(bool raw_new, bool json_write, bool include_hygiene,
+                    std::vector<Finding>* findings);
+
   std::string GenerateRegistry();
   std::string GenerateRanks(std::vector<Finding>* findings);
   std::string GenerateDot();
@@ -79,6 +91,8 @@ class Analysis {
   std::vector<LockEdge> edges_;               // deduped (from, to) pairs
   std::vector<std::string> locks_;            // every lock id seen, sorted
   std::vector<std::string> core_locks_;       // rankable subset, sorted
+  std::map<std::string, std::pair<std::string, int>>
+      first_acquire_;                         // lock id -> first file:line
   std::vector<Finding> blocking_findings_;    // produced with the graph
 };
 

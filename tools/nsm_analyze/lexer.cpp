@@ -43,8 +43,27 @@ std::vector<Token> Lex(const std::string& source) {
 
     // Preprocessor directive: consume the logical line, honoring backslash
     // continuations (phase-2 splicing).  Contributes no tokens — a macro
-    // definition is not code the analyzer should attribute to a function.
+    // definition is not code the analyzer should attribute to a function —
+    // except `#include <target>` / `#include "target"`, which records its
+    // target for the include-hygiene rule.
     if (c == '#' && at_line_start) {
+      std::size_t p = i + 1;
+      while (p < n && (source[p] == ' ' || source[p] == '\t')) ++p;
+      if (source.compare(p, 7, "include") == 0) {
+        p += 7;
+        while (p < n && (source[p] == ' ' || source[p] == '\t')) ++p;
+        if (p < n && (source[p] == '<' || source[p] == '"')) {
+          const char closer = source[p] == '<' ? '>' : '"';
+          std::size_t end = p + 1;
+          while (end < n && source[end] != closer && source[end] != '\n') {
+            ++end;
+          }
+          if (end < n && source[end] == closer) {
+            tokens.push_back({TokenKind::kInclude,
+                              source.substr(p + 1, end - p - 1), line});
+          }
+        }
+      }
       while (i < n) {
         if (source[i] == '\\' &&
             (i + 1 >= n || source[i + 1] == '\n' ||

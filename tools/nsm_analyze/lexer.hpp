@@ -1,10 +1,11 @@
-// nsm_analyze lexer: a real C++ tokenizer for the concurrency analyzer.
+// nsm_analyze lexer: a real C++ tokenizer for the repository's static
+// checker.
 //
-// The regex lint (tools/nsm_lint.py) works line by line, so it cannot see a
-// guard declared in a caller, a call split across lines, or the difference
-// between code and the inside of a raw string.  This lexer produces the
-// token stream the analyzer's scope/guard tracker and call-graph extractor
-// operate on, handling everything that defeats line regexes:
+// A line regex cannot see a guard declared in a caller, a call or statement
+// split across lines, or the difference between code and the inside of a
+// comment or raw string.  This lexer produces the token stream the
+// analyzer's scope/guard tracker, call-graph extractor and token-level
+// hygiene rules operate on, handling everything that defeats line regexes:
 //
 //   - line and block comments (C++ block comments do not nest: the first
 //     `*/` ends the comment, and the analyzer must resume lexing there);
@@ -14,7 +15,8 @@
 //     braces, quotes, and code-shaped text;
 //   - preprocessor directives, including backslash line continuations
 //     (a macro body spanning ten continued lines is one logical directive
-//     and contributes no tokens);
+//     and contributes no tokens) — except `#include`, which contributes one
+//     kInclude token naming its target;
 //   - multi-character punctuators the analyzer matches on (`::`, `->`).
 //
 // Tokens keep their 1-based source line so findings are clickable.
@@ -32,6 +34,7 @@ enum class TokenKind {
   kString,       // string literal; `text` holds the *contents* (no quotes)
   kChar,         // character literal; `text` holds the contents
   kPunct,        // punctuator; `text` is "::", "->", or a single character
+  kInclude,      // `#include` directive; `text` is the target, e.g. "mutex"
 };
 
 struct Token {

@@ -1,4 +1,5 @@
-// nsm_analyze: concurrency invariant analyzer and registry gate.
+// nsm_analyze: the repository's static checker — concurrency invariants,
+// the span/metric registry gate, and token-level hygiene rules.
 //
 //   nsm_analyze [options] [paths...]
 //
@@ -10,7 +11,8 @@
 //                        (default: ROOT/src/core/lock_ranks.hpp)
 //     --check NAME       run one check (repeatable): lock-order,
 //                        blocking-under-lock, collective-divergence,
-//                        registry, lock-rank.  Default: all of them.
+//                        registry, lock-rank, raw-new, json-atomic-write,
+//                        include-hygiene.  Default: all of them.
 //     --no-gate          skip the committed-artifact comparisons (fixture
 //                        runs analyze files that are not the real tree)
 //     --dot FILE         write the acquired-before graph as Graphviz DOT
@@ -19,7 +21,7 @@
 //
 //   paths: files or directories to analyze (default: ROOT/src)
 //
-// Exit codes (same contract as tools/nsm_lint.py, see EXPERIMENTS.md):
+// Exit codes (see EXPERIMENTS.md):
 //   0  clean
 //   1  findings
 //   2  usage or I/O error
@@ -109,8 +111,9 @@ int main(int argc, char** argv) {
   std::vector<fs::path> targets;
 
   const std::set<std::string> known_checks = {
-      "lock-order", "blocking-under-lock", "collective-divergence",
-      "registry", "lock-rank"};
+      "lock-order",        "blocking-under-lock", "collective-divergence",
+      "registry",          "lock-rank",           "raw-new",
+      "json-atomic-write", "include-hygiene"};
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -140,8 +143,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--check") {
       const char* v = value();
       if (v == nullptr || known_checks.count(v) == 0) {
-        return Usage("--check needs one of lock-order, blocking-under-lock, "
-                     "collective-divergence, registry, lock-rank");
+        std::string names;
+        for (const std::string& name : known_checks) {
+          names += (names.empty() ? "" : ", ") + name;
+        }
+        return Usage("--check needs one of " + names);
       }
       checks.insert(v);
     } else if (arg == "--write-registry") {
@@ -247,6 +253,9 @@ int main(int argc, char** argv) {
     }
     analysis.CheckLockRanks(ranks_text ? &*ranks_text : nullptr, &findings);
   }
+  analysis.CheckHygiene(checks.count("raw-new") != 0,
+                        checks.count("json-atomic-write") != 0,
+                        checks.count("include-hygiene") != 0, &findings);
 
   if (!dot_path.empty() && !WriteFile(dot_path, analysis.GenerateDot())) {
     std::cerr << "nsm_analyze: cannot write: " << dot_path << "\n";

@@ -10,7 +10,7 @@ namespace {
 
 const std::unordered_set<std::string>& BlockingNames() {
   // The mpimini calls that block until a peer rank (or a notification)
-  // makes progress.  Mirrors tools/nsm_lint.py's BLOCKING_CALL vocabulary.
+  // makes progress.
   static const std::unordered_set<std::string> kNames = {
       "Barrier",   "Bcast",       "Reduce",     "AllReduce", "AllReduceValue",
       "Gather",    "GatherBytes", "AllGather",  "AllToAllBytes",
@@ -425,8 +425,6 @@ void ScanNamesAndDecls(const std::vector<Token>& tokens,
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
     if (t.kind != TokenKind::kIdentifier) continue;
-    const bool method_recv =
-        i > 0 && (IsPunct(tokens[i - 1], ".") || IsPunct(tokens[i - 1], "->"));
 
     // Span / IdleScope: `Span span("name"...)` or `Span("name"...)`.
     if (t.text == "Span" || t.text == "IdleScope" || t.text == "Instant") {
@@ -444,11 +442,10 @@ void ScanNamesAndDecls(const std::vector<Token>& tokens,
     }
 
     // Metric calls: `metrics->Set("plane.metric", ...)` and friends.  The
-    // bare form (no receiver) is accepted too, mirroring nsm_lint.
+    // bare form (no receiver) is accepted too.
     if (MetricMethods().count(t.text) != 0 && i + 2 < tokens.size() &&
         IsPunct(tokens[i + 1], "(") &&
         tokens[i + 2].kind == TokenKind::kString) {
-      (void)method_recv;
       model->names.push_back(
           {NameKind::kMetric, tokens[i + 2].text, file, tokens[i + 2].line});
       continue;
@@ -486,6 +483,63 @@ void ScanNamesAndDecls(const std::vector<Token>& tokens,
   }
 }
 
+/// True when a string literal or identifier in [begin, end) mentions json,
+/// case-insensitively.
+bool NamesJson(const std::vector<Token>& tokens, std::size_t begin,
+               std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const Token& t = tokens[i];
+    if (t.kind != TokenKind::kString && t.kind != TokenKind::kIdentifier) {
+      continue;
+    }
+    std::string lower = t.text;
+    for (char& c : lower) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+    if (lower.find("json") != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// Whole-file pass for the hygiene facts: include targets, raw new/delete
+/// expressions, the `std::` vocabulary, and `ofstream` statements naming
+/// json anywhere from the statement's start to its ';'.
+void ScanHygiene(const std::vector<Token>& tokens, FileModel* model) {
+  std::size_t statement_begin = 0;  // token after the last ';', '{' or '}'
+  std::size_t flagged_end = 0;      // one json finding per statement
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const Token& t = tokens[i];
+    if (t.kind == TokenKind::kInclude) {
+      model->includes.push_back({t.text, t.line});
+      continue;
+    }
+    if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}")) {
+      statement_begin = i + 1;
+      continue;
+    }
+    if (t.kind != TokenKind::kIdentifier) continue;
+    const Token* prev = i > 0 ? &tokens[i - 1] : nullptr;
+
+    if (i >= 2 && IsPunct(*prev, "::") && IsIdent(tokens[i - 2], "std")) {
+      model->std_names.insert(t.text);
+    }
+    const bool is_delete = t.text == "delete";
+    if ((t.text == "new" || is_delete) &&
+        (prev == nullptr || (!IsIdent(*prev, "operator") &&
+                             !(is_delete && IsPunct(*prev, "="))))) {
+      model->raw_allocs.push_back({is_delete, t.line});
+    }
+    if (t.text == "ofstream" && i >= flagged_end) {
+      std::size_t end = i;
+      while (end < tokens.size() && !IsPunct(tokens[end], ";")) ++end;
+      if (NamesJson(tokens, statement_begin, end)) {
+        model->json_ofstream_lines.push_back(t.line);
+        flagged_end = end;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 bool IsBlockingCall(const std::string& name) {
@@ -510,6 +564,7 @@ FileModel ExtractFile(const std::string& display_path,
   FileModel model;
   model.file = display_path;
   ScanNamesAndDecls(tokens, display_path, &model);
+  ScanHygiene(tokens, &model);
 
   // Function definitions, at any nesting level outside other bodies (free
   // functions, out-of-line members, in-class inline members).

@@ -16,7 +16,10 @@
 //   - every rank-conditional (`if`/`switch` testing rank/Rank()) with the
 //     collective call names on each branch (collective-divergence check);
 //   - every `core::Mutex` declaration carrying a lock-rank spec constant
-//     (rank-binding validation).
+//     (rank-binding validation);
+//   - the token-level hygiene facts: `#include` targets, raw new/delete
+//     expressions, the `std::` vocabulary the file uses, and `ofstream`
+//     statements that name json.
 //
 // Lock identity: a guard names its mutex by the *member* it locks (the last
 // identifier of the first constructor argument), qualified by the acquiring
@@ -27,6 +30,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "lexer.hpp"
@@ -96,12 +100,28 @@ struct RankedMutexDecl {
   std::string spec_constant;  // e.g. "kMpiminiCommMutex"; empty = unranked
 };
 
+struct Include {
+  std::string header;  // target as written, e.g. "mutex", "core/buffer.hpp"
+  int line = 0;
+};
+
+/// A `new` or `delete` expression (`= delete` declarations and `operator
+/// new` / `operator delete` names are not expressions and are not recorded).
+struct RawAlloc {
+  bool is_delete = false;
+  int line = 0;
+};
+
 struct FileModel {
   std::string file;  // display path
   std::vector<Function> functions;
   std::vector<NameUse> names;
   std::vector<RankConditional> rank_conditionals;
   std::vector<RankedMutexDecl> ranked_decls;
+  std::vector<Include> includes;
+  std::vector<RawAlloc> raw_allocs;
+  std::vector<int> json_ofstream_lines;  // line of each such `ofstream`
+  std::unordered_set<std::string> std_names;  // every `std::<name>` used
 };
 
 /// True for the mpimini calls that block until a peer rank acts.
